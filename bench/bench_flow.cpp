@@ -9,7 +9,7 @@
 ///   MCS_FLOW_SPEC      override the per-circuit spec; "%s" is replaced by
 ///                      the circuit's `gen` stage (default paper flow)
 ///   MCS_FLOW_THREADS   > 1 switches to the partition-parallel variant
-///                      (popt / pmch / pmap_lut) with that worker count
+///                      (each step under `par:`) with that worker count
 ///   MCS_FLOW_ONLY      run just the named circuit (e.g. "multiplier") --
 ///                      pairs with MCS_FLOW_SPEC for single-flow timing
 ///   MCS_FLOW_REPEAT    run the suite N times (default 1) and print the
@@ -71,7 +71,8 @@ int main() {
   const std::string serial_tail =
       "; compress2rs:rounds=2; mch:basis=xmg,ratio=0.9; map_lut:k=6; cec";
   const std::string parallel_tail =
-      "; popt:rounds=2; pmch:basis=xmg,ratio=0.9; pmap_lut:k=6; cec";
+      "; par:pass=compress2rs,rounds=2; par:pass=mch,basis=xmg,ratio=0.9; "
+      "par:pass=map_lut,k=6; cec";
 
   bool all_ok = true;
   double total_seconds = 0.0;

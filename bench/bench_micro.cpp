@@ -1,23 +1,22 @@
-/// Microbenchmarks for the core kernels: structural hashing, truth-table
-/// ops, NPN canonicalization, cut enumeration, random simulation, SAT
-/// solving, MCH construction and both mappers.
+/// Microbenchmarks for the core kernels: structural hashing, cut
+/// enumeration, SAT sweeping, the partition-parallel drivers, CEC, random
+/// simulation, MCH construction and both mappers.
 ///
-/// Two modes:
-///   - `bench_micro` (google-benchmark, when the library is available):
-///     the statistical microbench suite, incl. --benchmark_min_time etc.
-///   - `bench_micro --json[=PATH]`: the perf-baseline kernel suite -- a
-///     fixed set of hand-timed kernels (best of N repetitions) emitted as
-///     one JSON object per line (see bench_util::JsonLine), appended to
-///     PATH (default BENCH_kernel.json).  This output is the input of
-///     bench/compare_bench.py and the committed perf trajectory; it also
-///     serves as the fallback main when google-benchmark is absent.
-///     `--json-par[=PATH]` and `--json-sweep[=PATH]` run the thread-scaling
-///     suites (parallel drivers / the fraig engine) the same way.
+/// Each mode runs a fixed set of hand-timed benches and appends one JSON
+/// object per line (see bench_util::JsonLine) to PATH:
+///   - `--json[=PATH]`: the perf-baseline kernel suite (best of N
+///     repetitions; default PATH BENCH_kernel.json);
+///   - `--json-par[=PATH]`: thread scaling of the parallel drivers, CEC and
+///     simulation (default BENCH_par.json);
+///   - `--json-sweep[=PATH]`: thread scaling of the fraig engine (default
+///     BENCH_sweep.json).
+/// The files are the input of bench/compare_bench.py and the committed
+/// perf trajectory.  Without a mode the binary prints usage and exits 2, so
+/// a bare run never appends to a committed baseline.
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 
@@ -32,11 +31,9 @@
 #include "mcs/network/network_utils.hpp"
 #include "mcs/opt/optimize.hpp"
 #include "mcs/par/par_engine.hpp"
-#include "mcs/par/thread_pool.hpp"
 #include "mcs/sat/cec.hpp"
 #include "mcs/sim/simulator.hpp"
 #include "mcs/sweep/sweep.hpp"
-#include "mcs/tt/npn.hpp"
 
 namespace {
 
@@ -194,12 +191,14 @@ void run_kernel_suite(const char* path) {
 
 // --- par_scaling suite ------------------------------------------------------
 
-/// Thread-scaling suite over the end-to-end parallel paths: par_optimize,
-/// par_mch+par_map_lut, CEC and random simulation on the 64-bit multiplier
-/// at 1/2/4/8 threads.  One JSON line per (bench, threads) pair carrying
-/// seconds, speedup vs the run's own 1-thread time, a determinism check
-/// against the 1-thread result, and the machine's hardware concurrency
-/// (committed baselines from small machines are flagged, not trusted).
+/// Thread-scaling suite over the end-to-end parallel paths: par_run with
+/// compress2rs_like, par_run_lut with choice-aware lut_map (the work of
+/// `par:pass=compress2rs` and `par:pass=map_lut`), CEC and random
+/// simulation on the 64-bit multiplier at 1/2/4/8 threads.  One JSON line
+/// per (bench, threads) pair carrying seconds, speedup vs the run's own
+/// 1-thread time, a determinism check against the 1-thread result, and the
+/// machine's hardware concurrency (committed baselines from small machines
+/// are flagged, not trusted).
 /// MCS_PAR_BENCH_BITS shrinks the multiplier for CI smoke runs.
 void run_par_suite(const char* path) {
   std::FILE* out = std::fopen(path, "a");
@@ -240,7 +239,12 @@ void run_par_suite(const char* path) {
       params.num_threads = t;
       params.partition.max_gates = 2000;
       bench::Timer timer;
-      const Network result = par_optimize(net, GateBasis::xmg(), 1, params);
+      const Network result = par_run(
+          net,
+          [](const Network& shard) {
+            return compress2rs_like(shard, GateBasis::xmg(), 1);
+          },
+          params);
       const double s = timer.seconds();
       if (t == 1) {
         base = s;
@@ -256,8 +260,10 @@ void run_par_suite(const char* path) {
       ParParams params;
       params.num_threads = t;
       params.partition.max_gates = 2000;
+      params.partition.keep_choices = true;
       bench::Timer timer;
-      const LutNetwork luts = par_map_lut(net, {}, params);
+      const LutNetwork luts = par_run_lut(
+          net, [](const Network& shard) { return lut_map(shard); }, params);
       const double s = timer.seconds();
       if (t == 1) {
         base = s;
@@ -320,8 +326,7 @@ void run_par_suite(const char* path) {
 
 /// Thread-scaling suite over the SAT-sweeping engine: fraig on the 64-bit
 /// multiplier at 1/2/4/8 threads (one JSON line each, with speedup vs the
-/// run's own 1-thread time and a bit-identity determinism check) plus the
-/// legacy `sweep()` entry point as the serial reference row, and the
+/// run's own 1-thread time and a bit-identity determinism check), and the
 /// proof-heavy workload -- a 256-bit AIG-vs-XMG adder miter whose hundreds
 /// of locally-provable pairs must collapse every PO to constant 0.
 /// MCS_SWEEP_BENCH_BITS shrinks the multiplier for CI smoke runs.
@@ -344,27 +349,6 @@ void run_sweep_suite(const char* path) {
   const Network net = expand_to_aig(circuits::multiplier(bits));
   const std::string circuit = "multiplier" + std::to_string(bits);
 
-  // The legacy entry point (sweep() delegates to the engine at its classic
-  // defaults): the reference both for time and for the gate-count
-  // acceptance bar (fraig must never end up worse).
-  std::size_t legacy_gates = 0;
-  {
-    double s = 0.0;
-    bench::MetricsWindow window;
-    {
-      bench::Timer timer;
-      const Network legacy = sweep(net);
-      s = timer.seconds();
-      legacy_gates = legacy.num_gates();
-    }
-    bench::JsonLine("sweep_legacy_mult", out)
-        .field("circuit", circuit)
-        .field("seconds", s)
-        .field("gates", legacy_gates)
-        .field("hardware_threads", static_cast<std::size_t>(hw))
-        .object("metrics", window.delta_json());
-  }
-
   Network reference;
   double base = 0.0;
   for (const int t : {1, 2, 4, 8}) {
@@ -386,7 +370,6 @@ void run_sweep_suite(const char* path) {
         .field("speedup", s > 0.0 ? base / s : 0.0)
         .field("deterministic", structurally_identical(result, reference))
         .field("gates", result.num_gates())
-        .field("not_worse_than_legacy", result.num_gates() <= legacy_gates)
         .field("proven", stats.num_proven)
         .field("rounds", stats.num_rounds)
         .field("hardware_threads", static_cast<std::size_t>(hw))
@@ -440,220 +423,39 @@ void run_sweep_suite(const char* path) {
   std::fclose(out);
 }
 
-/// Returns the --json[=PATH] argument value, or nullptr when absent.
-const char* json_mode_path(int argc, char** argv) {
+/// The PATH of `FLAG=PATH`, \p fallback for a bare FLAG, or nullptr when
+/// the flag is absent.
+const char* flag_path(int argc, char** argv, const std::string& flag,
+                      const char* fallback) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) return "BENCH_kernel.json";
-    if (std::strncmp(argv[i], "--json=", 7) == 0) return argv[i] + 7;
-  }
-  return nullptr;
-}
-
-/// Returns the --json-par[=PATH] argument value, or nullptr when absent.
-const char* json_par_mode_path(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-par") == 0) return "BENCH_par.json";
-    if (std::strncmp(argv[i], "--json-par=", 11) == 0) return argv[i] + 11;
-  }
-  return nullptr;
-}
-
-/// Returns the --json-sweep[=PATH] argument value, or nullptr when absent.
-const char* json_sweep_mode_path(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json-sweep") == 0) return "BENCH_sweep.json";
-    if (std::strncmp(argv[i], "--json-sweep=", 13) == 0) return argv[i] + 13;
+    const std::string arg = argv[i];
+    if (arg == flag) return fallback;
+    if (arg.rfind(flag + "=", 0) == 0) return argv[i] + flag.size() + 1;
   }
   return nullptr;
 }
 
 }  // namespace
 
-// --- google-benchmark suite -------------------------------------------------
-
-#ifdef MCS_HAVE_GBENCH
-
-#include <benchmark/benchmark.h>
-
-namespace {
-
-void BM_Strash(benchmark::State& state) {
-  for (auto _ : state) {
-    Network net;
-    Rng rng(7);
-    std::vector<Signal> pool;
-    for (int i = 0; i < 16; ++i) pool.push_back(net.create_pi());
-    for (int i = 0; i < 2000; ++i) {
-      const Signal a = pool[rng.next_below(pool.size())] ^ rng.next_bool();
-      const Signal b = pool[rng.next_below(pool.size())] ^ rng.next_bool();
-      pool.push_back(net.create_and(a, b));
-    }
-    benchmark::DoNotOptimize(net.size());
-  }
-  state.SetItemsProcessed(state.iterations() * 2000);
-}
-BENCHMARK(BM_Strash);
-
-void BM_StrashLookup(benchmark::State& state) {
-  const Network& net = medium_circuit();
-  for (auto _ : state) {
-    std::size_t hits = 0;
-    for (NodeId n = 0; n < net.size(); ++n) {
-      if (!net.is_gate(n)) continue;
-      const Node& nd = net.node(n);
-      hits += net.lookup_gate(nd.type, nd.fanin) == n;
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(state.iterations() * net.num_gates());
-}
-BENCHMARK(BM_StrashLookup);
-
-void BM_NpnCanonExact4(benchmark::State& state) {
-  Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        npn_canonicalize_exact(tt6_replicate(rng.next(), 4), 4));
-  }
-}
-BENCHMARK(BM_NpnCanonExact4);
-
-void BM_NpnCanonCached(benchmark::State& state) {
-  Npn4Cache cache;
-  Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.canonicalize(tt6_replicate(rng.next(), 4)));
-  }
-}
-BENCHMARK(BM_NpnCanonCached);
-
-void BM_CutEnumeration(benchmark::State& state) {
-  const Network& net = medium_circuit();
-  const auto order = topo_order(net);
-  CutEnumerator cuts(net, {.cut_size = static_cast<int>(state.range(0)),
-                           .cut_limit = 8});
-  for (auto _ : state) {
-    cuts.reset();
-    cuts.run(order);
-    benchmark::DoNotOptimize(cuts.total_cuts());
-  }
-  state.SetItemsProcessed(state.iterations() * net.num_gates());
-}
-BENCHMARK(BM_CutEnumeration)->Arg(4)->Arg(6);
-
-void BM_CutEnumerationMult64(benchmark::State& state) {
-  // The acceptance kernel of the arena/devirtualization work: k=6
-  // enumeration over the 64-bit multiplier (~44k AIG gates), driven in the
-  // steady state (reset + run per pass) like the mappers drive it.
-  const Network& net = large_circuit();
-  const auto order = topo_order(net);
-  CutEnumerator cuts(net, {.cut_size = 6, .cut_limit = 8});
-  for (auto _ : state) {
-    cuts.reset();
-    cuts.run(order);
-    benchmark::DoNotOptimize(cuts.total_cuts());
-  }
-  state.SetItemsProcessed(state.iterations() * net.num_gates());
-}
-BENCHMARK(BM_CutEnumerationMult64);
-
-void BM_RandomSimulation(benchmark::State& state) {
-  const Network& net = medium_circuit();
-  for (auto _ : state) {
-    RandomSimulation sim(net, 16, 1234);
-    benchmark::DoNotOptimize(sim.signature(net.po_at(0)));
-  }
-  state.SetItemsProcessed(state.iterations() * net.num_gates() * 16);
-}
-BENCHMARK(BM_RandomSimulation);
-
-void BM_SatCec(benchmark::State& state) {
-  // Adder miters stay easy for CDCL; multiplier miters would not.
-  const Network net = expand_to_aig(circuits::adder(16));
-  const Network other = balance(net);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(check_equivalence(net, other));
-  }
-}
-BENCHMARK(BM_SatCec);
-
-void BM_MchConstruction(benchmark::State& state) {
-  const Network& net = medium_circuit();
-  for (auto _ : state) {
-    MchParams params;
-    params.candidate_basis = GateBasis::xmg();
-    benchmark::DoNotOptimize(build_mch(net, params));
-  }
-  state.SetItemsProcessed(state.iterations() * net.num_gates());
-}
-BENCHMARK(BM_MchConstruction);
-
-void BM_LutMap(benchmark::State& state) {
-  const Network& net = medium_circuit();
-  const bool with_choices = state.range(0) != 0;
-  Network subject = net;
-  if (with_choices) {
-    MchParams params;
-    params.candidate_basis = GateBasis::xmg();
-    subject = build_mch(net, params);
-  }
-  for (auto _ : state) {
-    LutMapParams p;
-    p.use_choices = with_choices;
-    benchmark::DoNotOptimize(lut_map(subject, p));
-  }
-}
-BENCHMARK(BM_LutMap)->Arg(0)->Arg(1);
-
-void BM_AsicMap(benchmark::State& state) {
-  const Network& net = medium_circuit();
-  const TechLibrary lib = TechLibrary::asap7_mini();
-  for (auto _ : state) {
-    AsicMapParams p;
-    p.use_choices = false;
-    benchmark::DoNotOptimize(asic_map(net, lib, p));
-  }
-}
-BENCHMARK(BM_AsicMap);
-
-}  // namespace
-
 int main(int argc, char** argv) {
   obs::init_from_env();
-  if (const char* path = json_par_mode_path(argc, argv)) {
-    run_par_suite(path);
-    return 0;
+  const struct {
+    const char* flag;
+    const char* baseline;
+    void (*run)(const char* path);
+  } kSuites[] = {
+      {"--json-par", "BENCH_par.json", run_par_suite},
+      {"--json-sweep", "BENCH_sweep.json", run_sweep_suite},
+      {"--json", "BENCH_kernel.json", run_kernel_suite},
+  };
+  for (const auto& suite : kSuites) {
+    if (const char* path = flag_path(argc, argv, suite.flag, suite.baseline)) {
+      suite.run(path);
+      return 0;
+    }
   }
-  if (const char* path = json_sweep_mode_path(argc, argv)) {
-    run_sweep_suite(path);
-    return 0;
-  }
-  if (const char* path = json_mode_path(argc, argv)) {
-    run_kernel_suite(path);
-    return 0;
-  }
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  std::fprintf(stderr,
+               "usage: bench_micro --json[=PATH] | --json-par[=PATH] | "
+               "--json-sweep[=PATH]\n");
+  return 2;
 }
-
-#else  // !MCS_HAVE_GBENCH
-
-int main(int argc, char** argv) {
-  obs::init_from_env();
-  if (const char* path = json_par_mode_path(argc, argv)) {
-    run_par_suite(path);
-    return 0;
-  }
-  if (const char* path = json_sweep_mode_path(argc, argv)) {
-    run_sweep_suite(path);
-    return 0;
-  }
-  const char* path = json_mode_path(argc, argv);
-  run_kernel_suite(path != nullptr ? path : "BENCH_kernel.json");
-  return 0;
-}
-
-#endif

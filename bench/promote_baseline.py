@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Validate a multicore scaling run and promote it to baseline.
 
-The committed `BENCH_par.json` baseline should come from a machine with
-real parallelism; the repo's fallback `BENCH_par_1core.json` was measured
-in a 1-core container where speedups are definitionally ~1.0x and say
+The committed `BENCH_par.json` baseline must come from a machine with real
+parallelism: on one core, speedups are definitionally ~1.0x and say
 nothing about scaling health.  This script gates the promotion: it checks
 that a candidate run (from `bench_micro --json-par=...` on a multicore
 runner, e.g. the CI artifact) is actually fit to be the reference, then
@@ -11,22 +10,21 @@ writes it to the baseline path.
 
 The sweep-scaling baseline rides the same gate: point `--reference` and
 `--out` at BENCH_sweep.json for a `bench_micro --json-sweep=...` run.
-Sweep suites mix threaded series with single-config rows (the legacy
-engine reference has no "threads" field); such rows are keyed on the
-bench name alone and skip the thread-series checks.
+Rows without a "threads" field are keyed on the bench name alone and skip
+the thread-series checks.
 
 Checks, all hard failures:
   - every row parses and carries bench/seconds/hardware_threads,
   - hardware_threads > 1 and identical across rows (one machine, one run),
   - the (bench, threads) set covers the reference row set (nothing
-    silently dropped vs the current baseline / 1-core fallback),
+    silently dropped vs the current baseline),
   - "deterministic" is true wherever present (a nondeterministic run must
     never become the comparison anchor),
   - every bench with a thread series contains threads=1 (speedups have an
     anchor) and speedup values are self-consistent with seconds.
 
 Usage:
-  promote_baseline.py CANDIDATE.json [--reference BENCH_par_1core.json]
+  promote_baseline.py CANDIDATE.json [--reference BENCH_par.json]
                       [--out BENCH_par.json] [--check-only]
 
 `--check-only` validates without writing (the CI gate).  On promotion the
@@ -67,8 +65,8 @@ def key_set(rows):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("candidate")
-    ap.add_argument("--reference", default="BENCH_par_1core.json",
-                    help="row-set reference (default: the 1-core fallback)")
+    ap.add_argument("--reference", default="BENCH_par.json",
+                    help="row-set reference (default: the current baseline)")
     ap.add_argument("--out", default="BENCH_par.json")
     ap.add_argument("--check-only", action="store_true",
                     help="validate without writing the baseline")

@@ -351,6 +351,13 @@ TxnMetrics& txn_metrics() {
   return m;
 }
 
+/// The kind a stage acts as.  `par` acts as its inner pass: a sharded
+/// mapping keeps the LUTs it made, a sharded transform drops stale ones.
+PassKind stage_kind(const PassInfo& pass, const PassArgs& args) {
+  if (pass.name != "par") return pass.kind;
+  return PassRegistry::instance().find(args.get_string("pass"))->kind;
+}
+
 /// True for pass kinds that mutate the working network (the kinds the
 /// transactional runner snapshots, and whose PO functions the sim spot
 /// check must see preserved -- sources excepted, they replace the network).
@@ -394,12 +401,13 @@ StageReport run_stage(FlowContext& ctx, const PassInfo& pass,
       ctx.domain ? ctx.domain->snapshot() : obs::snapshot();
   const std::uint64_t span_window_start = obs::now_us();
   const auto t0 = std::chrono::steady_clock::now();
+  const PassKind kind = stage_kind(pass, args);
+  const bool rewrites =
+      kind == PassKind::kTransform || kind == PassKind::kChoice;
   // Sim spot check only guards function-preserving rewrites: transforms and
   // choice builders.  Sources replace the function; mappings/analyses do
   // not touch the network.
-  const bool sim_check =
-      ctx.txn.sim_words > 0 && (pass.kind == PassKind::kTransform ||
-                                pass.kind == PassKind::kChoice);
+  const bool sim_check = ctx.txn.sim_words > 0 && rewrites;
   try {
     obs::Span span([&] { return "pass:" + pass.name; });
     std::vector<std::uint64_t> sigs_before;
@@ -410,7 +418,7 @@ StageReport run_stage(FlowContext& ctx, const PassInfo& pass,
     pass.run(ctx, args);
     // A changed working network invalidates earlier mapped artifacts;
     // without this, `cec` after a transform would verify a stale mapping.
-    if (pass.kind == PassKind::kTransform || pass.kind == PassKind::kChoice) {
+    if (rewrites) {
       ctx.luts.reset();
       ctx.cells.reset();
     }
@@ -515,7 +523,7 @@ std::optional<StageReport> check_interrupted(FlowContext& ctx,
 StageReport run_stage_txn(FlowContext& ctx, const PassInfo& pass,
                           const PassArgs& args) {
   // Disabled (the default) or non-mutating: exactly run_stage, one branch.
-  if (!ctx.txn.snapshot || !mutates_network(pass.kind)) {
+  if (!ctx.txn.snapshot || !mutates_network(stage_kind(pass, args))) {
     return run_stage(ctx, pass, args);
   }
 

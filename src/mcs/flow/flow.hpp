@@ -25,8 +25,8 @@
 /// Adding a new pass costs one registration: fill a PassInfo (schema +
 /// run lambda over FlowContext) in the subsystem's `*_passes.cpp` and it is
 /// immediately available as a shell command, a flow stage, and -- for
-/// network transforms -- a target of the generic partition-parallel driver
-/// (`par:pass=<name>`; see mcs/par/par_engine.hpp).
+/// network transforms, choice builders and LUT mapping -- a target of the
+/// partition-parallel driver (`par:pass=<name>`; see mcs/par/par_engine.hpp).
 
 #pragma once
 
@@ -147,8 +147,10 @@ struct PassInfo {
   /// `par` meta-pass to forward params to its inner pass).
   bool allow_extra_args = false;
 
-  /// Network->network passes that are safe to run per-shard under the
-  /// generic partition-parallel driver (`par:pass=<name>`).
+  /// Safe to run per shard under the partition-parallel driver
+  /// (`par:pass=<name>`): network transforms and choice builders, whose
+  /// shards are reassembled, and LUT mapping, whose shard mappings are
+  /// stitched (the stage then acts as the inner pass's kind).
   bool parallel_ok = false;
 
   /// Executes the pass.  Failures are reported by throwing FlowError.

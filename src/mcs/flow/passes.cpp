@@ -5,6 +5,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <string>
 #include <thread>
 
 #include "mcs/circuits/circuits.hpp"
@@ -65,6 +67,29 @@ void load_network(FlowContext& ctx, Network net) {
   ctx.original = ctx.net;
   ctx.luts.reset();
   ctx.cells.reset();
+}
+
+/// What `cec` and `sim` verify: every mapped artifact present, rebuilt as a
+/// network, or the working network when nothing is mapped.  Calls
+/// \p check(subject, label) on each, where label is " (LUT network)",
+/// " (cell netlist)" or "", and returns the label naming all of them.
+std::string check_subjects(
+    const FlowContext& ctx,
+    const std::function<void(const Network&, const std::string&)>& check) {
+  std::string names;
+  auto check_mapped = [&](const Network& rebuilt, const std::string& name) {
+    check(rebuilt, " (" + name + ")");
+    names += (names.empty() ? "" : ", ") + name;
+  };
+  if (ctx.luts) check_mapped(lut_network_to_network(*ctx.luts), "LUT network");
+  if (ctx.cells) {
+    check_mapped(cell_netlist_to_network(*ctx.cells), "cell netlist");
+  }
+  if (names.empty()) {
+    check(ctx.net, "");
+    return "";
+  }
+  return " (" + names + ")";
 }
 
 }  // namespace
@@ -174,25 +199,20 @@ void register_core_passes(PassRegistry& registry) {
             if (!ctx.original) {
               throw FlowError("cec: no reference network loaded");
             }
-            // When a mapping is present, verify the mapped artifact
-            // (rebuilt as a network); otherwise the working network.
-            const Network* subject = &ctx.net;
-            Network rebuilt;
-            if (ctx.luts) {
-              rebuilt = lut_network_to_network(*ctx.luts);
-              subject = &rebuilt;
-            }
             CecOptions copts;
             copts.num_threads = ctx.par.num_threads;
-            const CecResult r = check_equivalence(*ctx.original, *subject,
-                                                  copts);
-            if (r == CecResult::kNotEquivalent) {
-              throw FlowError("NOT equivalent");
-            }
-            if (r == CecResult::kUnknown) {
-              throw FlowError("unknown (resource limit)");
-            }
-            ctx.note = ctx.luts ? "equivalent (LUT network)" : "equivalent";
+            const std::string checked = check_subjects(
+                ctx, [&](const Network& subject, const std::string& label) {
+                  const CecResult r =
+                      check_equivalence(*ctx.original, subject, copts);
+                  if (r == CecResult::kNotEquivalent) {
+                    throw FlowError("NOT equivalent" + label);
+                  }
+                  if (r == CecResult::kUnknown) {
+                    throw FlowError("unknown (resource limit)" + label);
+                  }
+                });
+            ctx.note = "equivalent" + checked;
           },
   });
 
@@ -213,23 +233,20 @@ void register_core_passes(PassRegistry& registry) {
             if (words < 1 || words > 4096) {
               throw FlowError("sim: words must be in [1, 4096]");
             }
-            const Network* subject = &ctx.net;
-            Network rebuilt;
-            if (ctx.luts) {
-              rebuilt = lut_network_to_network(*ctx.luts);
-              subject = &rebuilt;
-            }
             const std::uint64_t seed = ctx.seed != 0 ? ctx.seed : 0xc0ffee;
-            const std::ptrdiff_t diff_po =
-                sim_falsify(*ctx.original, *subject, static_cast<int>(words),
-                            seed, ctx.par.num_threads);
-            if (diff_po >= 0) {
-              throw FlowError("NOT equivalent on random vectors (PO " +
-                              std::to_string(diff_po) + ")");
-            }
+            const std::string checked = check_subjects(
+                ctx, [&](const Network& subject, const std::string& label) {
+                  const std::ptrdiff_t diff_po =
+                      sim_falsify(*ctx.original, subject,
+                                  static_cast<int>(words), seed,
+                                  ctx.par.num_threads);
+                  if (diff_po >= 0) {
+                    throw FlowError("NOT equivalent on random vectors (PO " +
+                                    std::to_string(diff_po) + ")" + label);
+                  }
+                });
             ctx.note = "matched on " + std::to_string(words * 64) +
-                       " random vectors" +
-                       (ctx.luts ? std::string(" (LUT network)") : "");
+                       " random vectors" + checked;
           },
   });
 

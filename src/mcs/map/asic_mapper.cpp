@@ -7,6 +7,7 @@
 #include <unordered_map>
 
 #include "mcs/cut/enumeration.hpp"
+#include "mcs/map/lut_mapper.hpp"
 #include "mcs/network/network_utils.hpp"
 
 namespace mcs {
@@ -45,6 +46,26 @@ std::vector<std::pair<std::string, int>> CellNetlist::cell_histogram() const {
   std::map<std::string, int> h;
   for (const auto& inst : instances) ++h[library->cell(inst.cell).name];
   return {h.begin(), h.end()};
+}
+
+Network cell_netlist_to_network(const CellNetlist& cells) {
+  LutNetwork lnet;
+  lnet.num_pis = cells.num_pis;
+  for (const auto& inst : cells.instances) {
+    lnet.luts.push_back({inst.fanins, cells.library->cell(inst.cell).function});
+  }
+  for (std::size_t i = 0; i < cells.po_refs.size(); ++i) {
+    if (cells.po_const[i]) {
+      lnet.luts.push_back({});  // 0-input constant-0 LUT
+      lnet.po_refs.push_back(
+          static_cast<std::int32_t>(lnet.num_pis + lnet.luts.size() - 1));
+      lnet.po_compl.push_back(cells.po_const_value[i]);
+    } else {
+      lnet.po_refs.push_back(cells.po_refs[i]);
+      lnet.po_compl.push_back(false);
+    }
+  }
+  return lut_network_to_network(lnet);
 }
 
 namespace {

@@ -81,4 +81,9 @@ CellNetlist asic_map(const Network& net, const TechLibrary& lib,
                      const AsicMapParams& params = {},
                      AsicMapStats* stats = nullptr);
 
+/// Rebuilds a cell netlist as a mixed network, the way
+/// lut_network_to_network() does for LUTs: every instance becomes a LUT
+/// over its fanins with its cell's function.  Used for verification.
+Network cell_netlist_to_network(const CellNetlist& cells);
+
 }  // namespace mcs

@@ -1,6 +1,6 @@
 /// \file opt_passes.cpp
 /// \brief Flow registrations for the technology-independent optimization
-/// passes (balance / rewrite / refactor / resub / sweep / compress2rs).
+/// passes (balance / rewrite / refactor / resub / compress2rs).
 /// Each registration adapts typed key=value args onto the pass's existing
 /// `*Params` struct; a nonzero FlowContext seed overrides the simulation
 /// seeds so a whole flow can be re-randomized from one knob.
@@ -102,22 +102,6 @@ void register_opt_passes(PassRegistry& registry) {
             params.basis = args.get_basis("basis");
             if (ctx.seed != 0) params.sim_seed = ctx.seed;
             ctx.net = resub(ctx.net, params);
-          },
-  });
-
-  registry.add({
-      .name = "sweep",
-      .summary = "SAT sweeping: merge functionally equivalent nodes",
-      .kind = PassKind::kTransform,
-      .parallel_ok = true,
-      .run =
-          [](FlowContext& ctx, const PassArgs&) {
-            SweepParams params;
-            // The proof batches run on the flow's worker setting (the
-            // `threads` pass / MCS_THREADS), like every parallel path.
-            params.num_threads = ctx.par.num_threads;
-            if (ctx.seed != 0) params.sim_seed = ctx.seed;
-            ctx.net = sweep(ctx.net, params);
           },
   });
 

@@ -149,23 +149,6 @@ Network refactor(const Network& net, const RefactorParams& params) {
 }
 
 // ---------------------------------------------------------------------------
-// sweep (SAT sweeping / fraig-style merging)
-// ---------------------------------------------------------------------------
-
-Network sweep(const Network& net, const SweepParams& params) {
-  // Thin wrapper over the mcs::sweep engine (sweep/sweep.hpp): candidate
-  // classes from simulation signatures, parallel batched cone-restricted
-  // miters, counterexample-driven refinement, min-index merges.
-  FraigParams fp;
-  fp.num_threads = params.num_threads;
-  fp.sim_words = params.sim_words;
-  fp.sim_seed = params.sim_seed;
-  fp.conflict_limit = params.conflict_limit;
-  fp.max_rounds = params.max_rounds;
-  return fraig(net, fp);
-}
-
-// ---------------------------------------------------------------------------
 // resub (simulation-guided, SAT-verified resubstitution)
 // ---------------------------------------------------------------------------
 
@@ -433,7 +416,7 @@ Network compress2rs_like(const Network& net, GateBasis basis, int max_rounds,
     cur = rewrite(cur, {.basis = basis});
     cur = refactor(cur, {.basis = basis});
     cur = resub(cur, {.basis = basis});
-    cur = sweep(cur);
+    cur = fraig(cur);
     cur = balance(cur);
     const bool better =
         cur.num_gates() < best.num_gates() ||

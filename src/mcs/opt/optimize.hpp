@@ -7,8 +7,6 @@
 ///
 ///   - balance():   associativity-flattening tree balancing (depth).
 ///   - refactor():  MFFC collapse + ISOP factoring (area).
-///   - sweep():     SAT sweeping -- merges functionally equivalent nodes
-///                  (simulation signatures + SAT proof), like ABC's fraig.
 ///   - rewrite():   cut-based resynthesis through the NPN-4 database.
 ///   - compress2rs_like(): the composite script iterated to convergence.
 
@@ -32,23 +30,6 @@ struct RefactorParams {
 /// MFFC-based refactoring: collapse each qualifying MFFC to a truth table,
 /// re-express it as a factored form, keep the smaller structure.
 Network refactor(const Network& net, const RefactorParams& params = {});
-
-struct SweepParams {
-  int sim_words = 16;
-  std::uint64_t sim_seed = 0xdead5eed;
-  std::int64_t conflict_limit = 300;
-  int max_rounds = 16;  ///< simulate/prove/refine iterations
-  /// Worker threads for the proof batches; values < 1 resolve through
-  /// ThreadPool::resolve_threads (MCS_THREADS / hardware).
-  int num_threads = 1;
-};
-
-/// SAT sweeping: proves functional node equivalences and merges them
-/// (fanins of later nodes are redirected to the earliest class member).
-/// A thin wrapper over the mcs::sweep engine (sweep/sweep.hpp):
-/// simulation-seeded candidate classes, parallel batched cone-restricted
-/// miters, counterexample-driven class refinement.
-Network sweep(const Network& net, const SweepParams& params = {});
 
 struct ResubParams {
   int max_window = 24;      ///< divisor candidates per node
@@ -83,7 +64,8 @@ struct ScriptStats {
 };
 
 /// The compress2rs-like script: rounds of balance / rewrite / refactor /
-/// sweep until the (gates, depth) pair stops improving.
+/// resub / fraig (sweep/sweep.hpp) until the (gates, depth) pair stops
+/// improving.
 Network compress2rs_like(const Network& net, GateBasis basis,
                          int max_rounds = 4, ScriptStats* stats = nullptr);
 

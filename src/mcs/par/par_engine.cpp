@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <numeric>
@@ -17,12 +16,6 @@
 namespace mcs {
 
 namespace {
-
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 /// Largest-shard-first claim order: with shards of mixed sizes, a big shard
 /// scheduled last would serialize the tail of the work phase.  Ties (and
@@ -65,28 +58,11 @@ PartitionSet partition_traced(const Network& net, const Params& pp) {
   return partition_network(net, pp);
 }
 
-struct Phase {
-  ParStats* stats;
-  std::chrono::steady_clock::time_point t0 = std::chrono::steady_clock::now();
-  void lap(double ParStats::* field) {
-    if (stats) stats->*field = seconds_since(t0);
-    t0 = std::chrono::steady_clock::now();
-  }
-};
-
-void fill_pre(ParStats* stats, const Network& net, std::size_t parts,
-              std::size_t threads) {
+void fill_stats(ParStats* stats, const PartitionSet& parts,
+                std::size_t threads) {
   if (!stats) return;
-  stats->num_partitions = parts;
+  stats->num_partitions = parts.parts.size();
   stats->num_threads = threads;
-  stats->initial_gates = net.num_gates();
-  stats->initial_depth = net.depth();
-}
-
-void fill_post(ParStats* stats, const Network& net) {
-  if (!stats) return;
-  stats->final_gates = net.num_gates();
-  stats->final_depth = net.depth();
 }
 
 PartitionParams partition_params(const ParParams& params,
@@ -179,57 +155,31 @@ Network par_run(const Network& net, const ShardPassFn& pass,
                 const ParParams& params, ParStats* stats,
                 const ReassembleOptions& reassemble_opts) {
   const std::size_t threads = ThreadPool::resolve_threads(params.num_threads);
-  Phase phase{stats};
   PartitionSet parts = partition_traced(net, partition_params(params, threads));
-  phase.lap(&ParStats::partition_seconds);
-  return par_run(net, std::move(parts), pass, params, stats, reassemble_opts);
-}
-
-Network par_run(const Network& net, PartitionSet parts, const ShardPassFn& pass,
-                const ParParams& params, ParStats* stats,
-                const ReassembleOptions& reassemble_opts) {
-  const std::size_t threads = ThreadPool::resolve_threads(params.num_threads);
-  Phase phase{stats};
-  fill_pre(stats, net, parts.parts.size(), threads);
+  fill_stats(stats, parts, threads);
 
   for_each_shard(parts, threads, [&](std::size_t i) {
     Partition& p = parts.parts[i];
-    p.net = pass(p.net, i);
+    p.net = pass(p.net);
   });
-  phase.lap(&ParStats::work_seconds);
 
   ReassembleOptions ropts = reassemble_opts;
   ropts.num_threads = static_cast<int>(threads);
-  Network result = [&] {
-    obs::Span span("par:reassemble");
-    return reassemble(net, parts, ropts);
-  }();
-  phase.lap(&ParStats::reassemble_seconds);
-  fill_post(stats, result);
-  return result;
+  obs::Span span("par:reassemble");
+  return reassemble(net, parts, ropts);
 }
 
 LutNetwork par_run_lut(const Network& net, const ShardMapFn& map_shard,
                        const ParParams& params, ParStats* stats) {
   const std::size_t threads = ThreadPool::resolve_threads(params.num_threads);
-  Phase phase{stats};
-  PartitionSet parts = partition_traced(net, partition_params(params, threads));
-  phase.lap(&ParStats::partition_seconds);
-  return par_run_lut(net, std::move(parts), map_shard, params, stats);
-}
-
-LutNetwork par_run_lut(const Network& net, PartitionSet parts,
-                       const ShardMapFn& map_shard, const ParParams& params,
-                       ParStats* stats) {
-  const std::size_t threads = ThreadPool::resolve_threads(params.num_threads);
-  Phase phase{stats};
-  fill_pre(stats, net, parts.parts.size(), threads);
+  const PartitionSet parts =
+      partition_traced(net, partition_params(params, threads));
+  fill_stats(stats, parts, threads);
 
   std::vector<LutNetwork> shard_luts(parts.parts.size());
   for_each_shard(parts, threads, [&](std::size_t i) {
-    shard_luts[i] = map_shard(parts.parts[i].net, i);
+    shard_luts[i] = map_shard(parts.parts[i].net);
   });
-  phase.lap(&ParStats::work_seconds);
 
   // Stitch the shard LUT networks over the original interface.  Reference
   // space of LutNetwork: 0..num_pis-1 are the PIs, num_pis + i is luts[i].
@@ -304,84 +254,6 @@ LutNetwork par_run_lut(const Network& net, PartitionSet parts,
     assert(ref_of[s.node()] >= 0 && "source PO not covered by any shard");
     merged.po_refs[i] = ref_of[s.node()];
     merged.po_compl[i] = compl_of[s.node()] ^ s.complemented();
-  }
-  phase.lap(&ParStats::reassemble_seconds);
-
-  if (stats) {
-    stats->final_gates = merged.luts.size();
-    stats->final_depth = merged.depth();
-  }
-  return merged;
-}
-
-Network par_optimize(const Network& net, GateBasis basis, int max_rounds,
-                     const ParParams& params, ParStats* stats) {
-  return par_run(
-      net,
-      [&](const Network& shard, std::size_t) {
-        return compress2rs_like(shard, basis, max_rounds);
-      },
-      params, stats);
-}
-
-Network par_mch(const Network& net, const MchParams& mch_params,
-                const ParParams& params, ParStats* stats,
-                MchStats* mch_stats) {
-  // Partition up front: per-shard stats are indexed by shard, so the
-  // shard count is needed before the work phase.
-  const std::size_t threads = ThreadPool::resolve_threads(params.num_threads);
-  Phase phase{stats};
-  PartitionSet parts = partition_traced(net, partition_params(params, threads));
-  phase.lap(&ParStats::partition_seconds);
-  std::vector<MchStats> shard_stats(mch_stats ? parts.parts.size() : 0);
-  Network result = par_run(
-      net, std::move(parts),
-      [&](const Network& shard, std::size_t i) {
-        return build_mch(shard, mch_params,
-                         mch_stats ? &shard_stats[i] : nullptr);
-      },
-      params, stats, {.keep_choices = true});
-
-  if (mch_stats) {
-    for (const MchStats& s : shard_stats) {
-      mch_stats->num_critical_nodes += s.num_critical_nodes;
-      mch_stats->num_candidates_tried += s.num_candidates_tried;
-      mch_stats->num_choices_added += s.num_choices_added;
-      mch_stats->num_rejected_same += s.num_rejected_same;
-      mch_stats->num_rejected_cycle += s.num_rejected_cycle;
-      mch_stats->num_rejected_class += s.num_rejected_class;
-      mch_stats->num_rejected_cap += s.num_rejected_cap;
-    }
-  }
-  return result;
-}
-
-LutNetwork par_map_lut(const Network& net, const LutMapParams& map_params,
-                       const ParParams& params, ParStats* stats,
-                       LutMapStats* map_stats) {
-  ParParams lut_params = params;
-  lut_params.partition.keep_choices = map_params.use_choices;
-  const std::size_t threads =
-      ThreadPool::resolve_threads(lut_params.num_threads);
-  Phase phase{stats};
-  PartitionSet parts =
-      partition_traced(net, partition_params(lut_params, threads));
-  phase.lap(&ParStats::partition_seconds);
-  std::vector<LutMapStats> shard_stats(map_stats ? parts.parts.size() : 0);
-  LutNetwork merged = par_run_lut(
-      net, std::move(parts),
-      [&](const Network& shard, std::size_t i) {
-        return lut_map(shard, map_params,
-                       map_stats ? &shard_stats[i] : nullptr);
-      },
-      lut_params, stats);
-
-  if (map_stats) {
-    map_stats->num_luts = merged.size();
-    map_stats->depth = merged.depth();
-    for (const LutMapStats& s : shard_stats) {
-      map_stats->num_choice_cuts_used += s.num_choice_cuts_used;
-    }
   }
   return merged;
 }

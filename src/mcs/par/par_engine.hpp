@@ -8,23 +8,17 @@
 /// self-contained Networks and reassembly happens in fixed partition order,
 /// the output is bit-identical for any thread count (see partition.hpp for
 /// the determinism contract); threads only change the wall-clock time.
-///
-/// par_optimize() / par_mch() / par_map_lut() are thin wrappers over the
-/// generic drivers, kept for source compatibility; the flow layer's `par`
-/// meta-pass (mcs/flow) drives any registered pass through par_run().
+/// The flow layer's `par` meta-pass (mcs/flow) drives registered passes
+/// through these two drivers.
 
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 
-#include "mcs/choice/mch.hpp"
 #include "mcs/map/lut_mapper.hpp"
 #include "mcs/network/network.hpp"
-#include "mcs/opt/optimize.hpp"
 #include "mcs/par/partition.hpp"
-#include "mcs/resyn/basis.hpp"
 
 namespace mcs {
 
@@ -37,20 +31,11 @@ struct ParParams {
 struct ParStats {
   std::size_t num_partitions = 0;
   std::size_t num_threads = 0;
-  std::size_t initial_gates = 0;
-  std::size_t final_gates = 0;
-  std::uint32_t initial_depth = 0;
-  std::uint32_t final_depth = 0;
-  double partition_seconds = 0.0;   ///< sharding (serial)
-  double work_seconds = 0.0;        ///< per-shard passes (parallel section)
-  double reassemble_seconds = 0.0;  ///< stitching (serial)
 };
 
-/// A network->network pass applied to one shard.  The shard index is passed
-/// so callers can collect per-shard statistics deterministically (indexed,
-/// not append-ordered).  Must be safe to invoke concurrently on distinct
-/// shards.
-using ShardPassFn = std::function<Network(const Network&, std::size_t)>;
+/// A network->network pass applied to one shard.  Must be safe to invoke
+/// concurrently on distinct shards.
+using ShardPassFn = std::function<Network(const Network&)>;
 
 /// Generic partition-parallel driver: partitions \p net (params.partition),
 /// applies \p pass to every shard on up to params.num_threads workers, and
@@ -60,49 +45,15 @@ Network par_run(const Network& net, const ShardPassFn& pass,
                 const ParParams& params = {}, ParStats* stats = nullptr,
                 const ReassembleOptions& reassemble_opts = {});
 
-/// Pre-partitioned variant for callers that need the shard count before the
-/// work phase (e.g. to size per-shard stats arrays): \p parts must come
-/// from partition_network(net, ...).  stats->partition_seconds is left to
-/// the caller.
-Network par_run(const Network& net, PartitionSet parts,
-                const ShardPassFn& pass, const ParParams& params = {},
-                ParStats* stats = nullptr,
-                const ReassembleOptions& reassemble_opts = {});
-
 /// A mapping pass applied to one shard (same contract as ShardPassFn).
-using ShardMapFn = std::function<LutNetwork(const Network&, std::size_t)>;
+using ShardMapFn = std::function<LutNetwork(const Network&)>;
 
 /// Generic partition-parallel mapping driver: maps every shard with
 /// \p map_shard and stitches the shard LUT networks over the original
 /// PI/PO interface, structurally hashing LUTs so logic duplicated across
-/// shards (kOutputCones) collapses back to one copy.
+/// shards (kOutputCones) collapses back to one copy.  Choice-aware mapping
+/// needs params.partition.keep_choices so the classes reach the shards.
 LutNetwork par_run_lut(const Network& net, const ShardMapFn& map_shard,
                        const ParParams& params = {}, ParStats* stats = nullptr);
-
-/// Pre-partitioned variant (see the par_run overload above).
-LutNetwork par_run_lut(const Network& net, PartitionSet parts,
-                       const ShardMapFn& map_shard,
-                       const ParParams& params = {},
-                       ParStats* stats = nullptr);
-
-/// Parallel compress2rs_like(): optimizes every shard independently in
-/// \p basis, then reassembles.  Equivalent function, deterministic result.
-Network par_optimize(const Network& net, GateBasis basis, int max_rounds = 3,
-                     const ParParams& params = {}, ParStats* stats = nullptr);
-
-/// Parallel build_mch(): builds the mixed choice network per shard and
-/// reassembles with choice classes preserved.  \p mch_stats (optional)
-/// receives the sum of the per-shard construction statistics.
-Network par_mch(const Network& net, const MchParams& mch_params = {},
-                const ParParams& params = {}, ParStats* stats = nullptr,
-                MchStats* mch_stats = nullptr);
-
-/// Parallel choice-aware LUT mapping: shards the network (carrying choice
-/// classes into the shards), maps every shard, and stitches the LUT
-/// networks over the original PI/PO interface.  \p map_stats (optional)
-/// receives the merged mapping statistics.
-LutNetwork par_map_lut(const Network& net, const LutMapParams& map_params = {},
-                       const ParParams& params = {}, ParStats* stats = nullptr,
-                       LutMapStats* map_stats = nullptr);
 
 }  // namespace mcs

@@ -1,11 +1,11 @@
 /// \file par_passes.cpp
-/// \brief Flow registrations for the partition-parallel drivers: the
-/// classic `popt` / `pmch` / `pmap_lut` commands plus the generic `par`
-/// meta-pass that runs *any* registered network->network pass per shard
-/// (`par:pass=rewrite,k=4`).  Thread count and shard size come from the
-/// FlowContext (`threads` / `partsize` settings passes).
+/// \brief Flow registration for the partition-parallel drivers: the `par`
+/// meta-pass runs any registered pass marked parallel_ok per shard --
+/// transforms and choice builders through par_run(), LUT mapping through
+/// par_run_lut() (`par:pass=rewrite,k=4`, `par:pass=map_lut,k=6`).  Thread
+/// count and shard size come from the FlowContext (`threads` / `partsize`
+/// settings passes).
 
-#include <utility>
 #include <vector>
 
 #include "mcs/flow/flow.hpp"
@@ -23,11 +23,6 @@ namespace mcs::flow {
 
 namespace {
 
-std::string par_note(const char* name, const ParStats& ps) {
-  return std::string(name) + ": " + std::to_string(ps.num_partitions) +
-         " partitions on " + std::to_string(ps.num_threads) + " threads";
-}
-
 /// Rebuilds `key=value` tokens from the extras collected by `par`.
 std::vector<std::string> forwarded_tokens(const PassArgs& args) {
   std::vector<std::string> tokens;
@@ -40,8 +35,7 @@ const PassInfo& inner_pass_or_throw(const PassArgs& args) {
   const PassInfo* inner = PassRegistry::instance().find(name);
   if (!inner) throw FlowError("par: unknown pass '" + name + "'");
   if (!inner->parallel_ok) {
-    throw FlowError("par: pass '" + name +
-                    "' is not a partition-parallel network transform");
+    throw FlowError("par: pass '" + name + "' cannot run per partition");
   }
   return *inner;
 }
@@ -50,80 +44,9 @@ const PassInfo& inner_pass_or_throw(const PassArgs& args) {
 
 void register_par_passes(PassRegistry& registry) {
   registry.add({
-      .name = "popt",
-      .summary = "parallel partitioned compress2rs",
-      .kind = PassKind::kTransform,
-      .params = {{.key = "rounds",
-                  .type = ParamType::kInt,
-                  .default_value = "3",
-                  .help = "maximum rounds"},
-                 {.key = "basis",
-                  .type = ParamType::kBasis,
-                  .default_value = "xmg",
-                  .help = "working basis"}},
-      .run =
-          [](FlowContext& ctx, const PassArgs& args) {
-            ParStats ps;
-            ctx.net = par_optimize(ctx.net, args.get_basis("basis"),
-                                   static_cast<int>(args.get_int("rounds")),
-                                   ctx.par, &ps);
-            ctx.note = par_note("popt", ps);
-          },
-  });
-
-  registry.add({
-      .name = "pmch",
-      .summary = "parallel partitioned mixed structural choices",
-      .kind = PassKind::kChoice,
-      .params = {{.key = "basis",
-                  .type = ParamType::kBasis,
-                  .default_value = "xmg",
-                  .help = "candidate synthesis basis"},
-                 {.key = "ratio",
-                  .type = ParamType::kDouble,
-                  .default_value = "0.9",
-                  .help = "critical-path ratio r"}},
-      .run =
-          [](FlowContext& ctx, const PassArgs& args) {
-            MchParams params;
-            params.candidate_basis = args.get_basis("basis");
-            params.critical_ratio = args.get_double("ratio");
-            if (params.critical_ratio < 0.0 || params.critical_ratio > 1.0) {
-              throw FlowError("pmch: ratio must be in [0, 1]");
-            }
-            ParStats ps;
-            MchStats stats;
-            ctx.net = par_mch(ctx.net, params, ctx.par, &ps, &stats);
-            ctx.note = std::to_string(stats.num_choices_added) +
-                       " choices added, " + par_note("pmch", ps);
-          },
-  });
-
-  registry.add({
-      .name = "pmap_lut",
-      .summary = "parallel partitioned choice-aware K-LUT mapping",
-      .kind = PassKind::kMapping,
-      .params = {{.key = "k",
-                  .type = ParamType::kInt,
-                  .default_value = "6",
-                  .help = "LUT size"}},
-      .run =
-          [](FlowContext& ctx, const PassArgs& args) {
-            LutMapParams params;
-            params.lut_size = static_cast<int>(args.get_int("k"));
-            if (params.lut_size < 2 || params.lut_size > 6) {
-              throw FlowError("pmap_lut: k must be in [2, 6]");
-            }
-            ParStats ps;
-            ctx.luts = par_map_lut(ctx.net, params, ctx.par, &ps);
-            ctx.note = par_note("pmap_lut", ps);
-          },
-  });
-
-  registry.add({
       .name = "par",
-      .summary = "run any registered network transform per partition "
-                 "(par:pass=rewrite,k=4)",
+      .summary = "run a transform, choice builder or LUT mapper per "
+                 "partition (par:pass=rewrite,k=4)",
       .kind = PassKind::kTransform,
       .params = {{.key = "pass",
                   .type = ParamType::kString,
@@ -135,27 +58,44 @@ void register_par_passes(PassRegistry& registry) {
             const PassInfo& inner = inner_pass_or_throw(args);
             const PassArgs inner_args =
                 PassArgs::bind(inner, forwarded_tokens(args));
+            // The inner pass on one shard, in a context of its own.
+            auto run_on = [&](const Network& shard) {
+              FlowContext sub;
+              sub.seed = ctx.seed;
+              sub.par.num_threads = 1;  // no nested pools
+              sub.net = shard;
+              inner.run(sub, inner_args);
+              return sub;
+            };
             ParParams par = ctx.par;
-            ReassembleOptions ropts;
-            if (inner.kind == PassKind::kChoice) {
-              // Choice constructions must see existing classes and keep
-              // the ones they add through reassembly.
-              par.partition.keep_choices = true;
-              ropts.keep_choices = true;
-            }
             ParStats ps;
-            ctx.net = par_run(
-                ctx.net,
-                [&](const Network& shard, std::size_t) {
-                  FlowContext sub;
-                  sub.seed = ctx.seed;
-                  sub.par.num_threads = 1;  // no nested pools
-                  sub.net = shard;
-                  inner.run(sub, inner_args);
-                  return std::move(sub.net);
-                },
-                par, &ps, ropts);
-            ctx.note = par_note(("par:" + inner.name).c_str(), ps);
+            if (inner.kind == PassKind::kMapping) {
+              // Choice-aware mapping must see the classes in its shard.
+              par.partition.keep_choices = true;
+              ctx.luts = par_run_lut(
+                  ctx.net,
+                  [&](const Network& shard) {
+                    return run_on(shard).luts.value();
+                  },
+                  par, &ps);
+            } else {
+              ReassembleOptions ropts;
+              if (inner.kind == PassKind::kChoice) {
+                // Choice constructions must see existing classes and keep
+                // the ones they add through reassembly.
+                par.partition.keep_choices = true;
+                ropts.keep_choices = true;
+              }
+              ctx.net = par_run(
+                  ctx.net,
+                  [&](const Network& shard) {
+                    return run_on(shard).net;
+                  },
+                  par, &ps, ropts);
+            }
+            ctx.note = "par:" + inner.name + ": " +
+                       std::to_string(ps.num_partitions) + " partitions on " +
+                       std::to_string(ps.num_threads) + " threads";
           },
       .validate =
           [](const PassArgs& args) {

@@ -1,8 +1,8 @@
 /// \file sweep.hpp
 /// \brief mcs::sweep -- parallel incremental SAT sweeping (fraiging).
 ///
-/// The engine behind the `fraig` pass, `opt::sweep()` and the DCH choice
-/// construction.  It proves functional node equivalences on one network
+/// The engine behind the `fraig` pass, compress2rs_like() and the DCH
+/// choice construction.  It proves functional node equivalences on one network
 /// with the simulate / prove / refine loop of ABC-style fraiging:
 ///
 ///   1. *Seed* candidate equivalence classes from random-simulation

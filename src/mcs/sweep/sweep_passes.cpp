@@ -1,8 +1,7 @@
 /// \file sweep_passes.cpp
 /// \brief Flow registration for the parallel SAT-sweeping engine: the
 /// `fraig` pass (simulation-seeded, counterexample-refined, batched
-/// parallel SAT sweeping).  `sweep` (opt_passes.cpp) is the legacy name
-/// for the same engine with the classic SweepParams defaults.
+/// parallel SAT sweeping).
 
 #include "mcs/flow/flow.hpp"
 #include "mcs/flow/registration.hpp"

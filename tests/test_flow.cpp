@@ -1,8 +1,9 @@
 /// Unit tests for the mcs::flow layer: validated scalar parsing, pass
 /// registry invariants, spec-string parse/validate round trips (including
 /// malformed specs), end-to-end run_flow() equivalence against hand-wired
-/// pass sequences, the generic par_run determinism contract over registered
-/// passes, and the README pass table (auto-checked against the registry).
+/// pass sequences, `cec`/`sim` over every mapped artifact, the generic
+/// par_run determinism contract over registered passes, and the README pass
+/// table (auto-checked against the registry).
 
 #include <gtest/gtest.h>
 
@@ -88,9 +89,8 @@ TEST(FlowRegistry, CoversTheWholeShellVocabulary) {
   for (const char* name :
        {"gen", "read_aiger", "write_aiger", "write_blif", "write_verilog",
         "ps", "strash", "to", "balance", "rewrite", "refactor", "resub",
-        "sweep", "compress2rs", "dch", "mch", "map_lut", "map_asic",
-        "graph_map", "threads", "partsize", "popt", "pmch", "pmap_lut",
-        "cec", "seed", "par"}) {
+        "compress2rs", "dch", "mch", "map_lut", "map_asic", "graph_map",
+        "threads", "partsize", "cec", "seed", "par"}) {
     EXPECT_NE(PassRegistry::instance().find(name), nullptr) << name;
   }
 }
@@ -166,11 +166,12 @@ TEST(FlowSpec, MalformedSpecsThrowBeforeExecution) {
   EXPECT_THROW(Flow::parse("par:pass=no_such"), FlowError);
   EXPECT_THROW(Flow::parse("par:pass=cec"), FlowError);
   EXPECT_THROW(Flow::parse("par:pass=rewrite,k=junk"), FlowError);
-  EXPECT_THROW(Flow::parse("par:pass=popt"), FlowError);  // no nesting
+  EXPECT_THROW(Flow::parse("par:pass=map_asic"), FlowError);  // cells
+  EXPECT_THROW(Flow::parse("par:pass=par"), FlowError);  // no nesting
 }
 
 TEST(FlowSpec, EveryParsedStageIsARegistryHit) {
-  const Flow f = Flow::parse("gen; balance; rewrite; sweep; map_lut");
+  const Flow f = Flow::parse("gen; balance; rewrite; fraig; map_lut");
   for (const auto& stage : f.stages()) {
     EXPECT_EQ(PassRegistry::instance().find(stage.pass->name), stage.pass);
   }
@@ -261,6 +262,72 @@ TEST(FlowRun, TransformsInvalidateStaleMappings) {
   EXPECT_EQ(report.stages.back().luts, 0u);
 }
 
+TEST(FlowRun, ParStageActsAsItsInnerPassKind) {
+  // `par` is registered as a transform, but a sharded mapping must keep the
+  // LUTs it made, and a sharded transform must still drop stale ones.
+  FlowContext ctx;
+  const FlowReport report = flow::run_flow(
+      "gen:adder,bits=16; par:pass=map_lut,k=4; cec; par:pass=rewrite; cec",
+      ctx);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_GT(report.stages[1].luts, 0u);
+  EXPECT_GT(report.stages[1].lut_depth, 0u);
+  EXPECT_EQ(report.stages[2].note, "equivalent (LUT network)");
+  EXPECT_EQ(report.stages[3].luts, 0u);
+  EXPECT_EQ(report.stages[4].note, "equivalent");
+}
+
+TEST(FlowRun, CecAndSimCheckTheMappedCells) {
+  FlowContext ctx;
+  const FlowReport report =
+      flow::run_flow("gen:adder,bits=8; mch; map_asic; cec; sim", ctx);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.stages[3].note, "equivalent (cell netlist)");
+  EXPECT_NE(report.stages[4].note.find("(cell netlist)"), std::string::npos)
+      << report.stages[4].note;
+
+  // Swap the cell driving PO 0 for its complement with the same pin count
+  // (NAND2 for AND2, ...): the choice network is untouched, the cells are
+  // wrong, and both checks must say so.
+  ASSERT_TRUE(ctx.cells.has_value());
+  CellNetlist& cells = *ctx.cells;
+  ASSERT_FALSE(cells.po_const[0]);
+  CellNetlist::Instance& driver =
+      cells.instances.at(cells.po_refs[0] - cells.num_pis);
+  const int old_cell = driver.cell;
+  const Cell& old = cells.library->cell(old_cell);
+  for (std::size_t c = 0; c < cells.library->cells().size(); ++c) {
+    const Cell& cand = cells.library->cell(static_cast<int>(c));
+    if (cand.num_pins == old.num_pins && cand.function == ~old.function) {
+      driver.cell = static_cast<int>(c);
+    }
+  }
+  ASSERT_NE(driver.cell, old_cell) << "no complement of " << old.name;
+  for (const char* check : {"cec", "sim"}) {
+    const FlowReport bad = flow::run_flow(check, ctx);
+    EXPECT_FALSE(bad.ok) << check;
+    EXPECT_NE(bad.error.find("NOT equivalent"), std::string::npos)
+        << bad.error;
+  }
+}
+
+TEST(FlowRun, CecChecksCellsOfConstantOutputs) {
+  // A constant PO has no driving instance; the rebuilt netlist must still
+  // produce the constant.
+  Network net;
+  const Signal a = net.create_pi("a");
+  const Signal b = net.create_pi("b");
+  net.create_po(net.constant(true), "one");
+  net.create_po(net.constant(false), "zero");
+  net.create_po(net.create_xor(a, b), "x");
+  FlowContext ctx;
+  ctx.net = net;
+  ctx.original = net;
+  const FlowReport report = flow::run_flow("map_asic; cec; sim", ctx);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(report.stages[1].note, "equivalent (cell netlist)");
+}
+
 TEST(FlowRun, FailedStageStopsTheFlow) {
   FlowContext ctx;
   // `cec` without a loaded reference fails; `balance` must not run.
@@ -275,8 +342,8 @@ TEST(FlowRun, FailedStageStopsTheFlow) {
 TEST(FlowRun, SettingsPassesSteerTheParallelDrivers) {
   FlowContext ctx;
   const FlowReport report = flow::run_flow(
-      "threads:n=2; partsize:gates=100; gen:adder,bits=32; popt:rounds=1; "
-      "cec",
+      "threads:n=2; partsize:gates=100; gen:adder,bits=32; "
+      "par:pass=compress2rs,rounds=1; cec",
       ctx);
   EXPECT_TRUE(report.ok) << report.error;
   EXPECT_EQ(ctx.par.num_threads, 2);
@@ -305,7 +372,7 @@ TEST(FlowRun, ParMetaPassMatchesSerialWrapperAndIsDeterministic) {
 
 /// Wraps a registered flow pass as a ShardPassFn for mcs::par::par_run.
 ShardPassFn shard_fn(const PassInfo& pass, const PassArgs& args) {
-  return [&pass, args](const Network& shard, std::size_t) {
+  return [&pass, args](const Network& shard) {
     flow::FlowContext sub;
     sub.net = shard;
     pass.run(sub, args);

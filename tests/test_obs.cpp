@@ -25,10 +25,10 @@
 #include <vector>
 
 #include "mcs/circuits/circuits.hpp"
+#include "mcs/flow/flow.hpp"
 #include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
 #include "mcs/obs/obs.hpp"
-#include "mcs/par/par_engine.hpp"
 #include "mcs/par/thread_pool.hpp"
 #include "mcs/sweep/sweep.hpp"
 
@@ -787,22 +787,25 @@ TEST_F(ObsDeterminism, FraigBitIdenticalWithTracingOnOff) {
   }
 }
 
-TEST_F(ObsDeterminism, ParOptimizeBitIdenticalWithTracingOnOff) {
+TEST_F(ObsDeterminism, ParCompress2rsBitIdenticalWithTracingOnOff) {
   const Network net = expand_to_aig(circuits::multiplier(8));
+  auto run = [&](int threads) {
+    flow::FlowContext ctx;
+    ctx.net = net;
+    ctx.par.num_threads = threads;
+    const flow::FlowReport report =
+        flow::run_flow("par:pass=compress2rs,rounds=2,basis=aig", ctx);
+    EXPECT_TRUE(report.ok) << report.error;
+    return ctx.net;
+  };
 
   obs::set_tracing(false);
-  ParParams ref_params;
-  ref_params.num_threads = 1;
-  const Network reference =
-      par_optimize(net, GateBasis::aig(), 2, ref_params);
+  const Network reference = run(1);
 
   obs::set_tracing(true);
   for (const int threads : {1, 4}) {
-    ParParams params;
-    params.num_threads = threads;
-    const Network traced = par_optimize(net, GateBasis::aig(), 2, params);
-    EXPECT_TRUE(structurally_identical(traced, reference))
-        << "par_optimize diverged with tracing on at " << threads
+    EXPECT_TRUE(structurally_identical(run(threads), reference))
+        << "par:pass=compress2rs diverged with tracing on at " << threads
         << " threads";
   }
 }

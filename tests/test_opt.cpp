@@ -7,6 +7,7 @@
 #include "mcs/network/network_utils.hpp"
 #include "mcs/opt/optimize.hpp"
 #include "mcs/sat/cec.hpp"
+#include "mcs/sweep/sweep.hpp"
 #include "test_util.hpp"
 
 namespace mcs {
@@ -28,8 +29,8 @@ TEST_P(OptPassesPreserveFunction, AllPasses) {
   const Network rf = refactor(net);
   EXPECT_EQ(check_equivalence(net, rf), CecResult::kEquivalent) << "refactor";
 
-  const Network sw = sweep(net);
-  EXPECT_EQ(check_equivalence(net, sw), CecResult::kEquivalent) << "sweep";
+  const Network sw = fraig(net);
+  EXPECT_EQ(check_equivalence(net, sw), CecResult::kEquivalent) << "fraig";
 
   const Network rw = rewrite(net);
   EXPECT_EQ(check_equivalence(net, rw), CecResult::kEquivalent) << "rewrite";
@@ -96,7 +97,7 @@ TEST(Sweep, MergesDuplicatedStructure) {
   const Signal f2 = net.create_and(a, net.create_and(b, c));
   net.create_po(net.create_xor(f1, net.create_pi("d")));
   net.create_po(net.create_or(f2, net.create_pi("e")));
-  const Network sw = sweep(net);
+  const Network sw = fraig(net);
   EXPECT_LT(sw.num_gates(), net.num_gates());
   EXPECT_EQ(check_equivalence(net, sw), CecResult::kEquivalent);
 }

@@ -1,6 +1,7 @@
 /// Unit tests for the mcs::par subsystem: thread pool semantics, partition
 /// + reassemble round trips (CEC-equivalent to the original) for both
-/// strategies, choice preservation across sharding, and the determinism
+/// strategies, choice preservation across sharding, the `par:` flow stages
+/// over transforms, choice builders and LUT mapping, and the determinism
 /// contract (1 thread vs N threads yield bit-identical networks and LUT
 /// mappings).
 
@@ -8,12 +9,15 @@
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "mcs/choice/mch.hpp"
 #include "mcs/circuits/circuits.hpp"
+#include "mcs/flow/flow.hpp"
 #include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
+#include "mcs/opt/optimize.hpp"
 #include "mcs/par/par_engine.hpp"
 #include "mcs/par/partition.hpp"
 #include "mcs/par/thread_pool.hpp"
@@ -219,7 +223,25 @@ TEST(Partition, ParallelShardConstructionIsBitIdentical) {
 
 // --- parallel drivers -----------------------------------------------------
 
-TEST(ParEngine, ParOptimizeIsEquivalentAndDeterministic) {
+/// Runs the flow \p stages on \p net with \p threads workers and shards of
+/// at most \p max_gates gates.
+flow::FlowContext run_par(const Network& net, const std::string& stages,
+                          int threads, std::size_t max_gates) {
+  flow::FlowContext ctx;
+  ctx.net = net;
+  ctx.original = net;
+  ctx.par.num_threads = threads;
+  ctx.par.partition.max_gates = max_gates;
+  const flow::FlowReport report = flow::run_flow(stages, ctx);
+  EXPECT_TRUE(report.ok) << stages << ": " << report.error;
+  return ctx;
+}
+
+Network compress2rs_shard(const Network& shard) {
+  return compress2rs_like(shard, GateBasis::xmg(), 2);
+}
+
+TEST(ParEngine, ParRunOptimizeIsEquivalentAndDeterministic) {
   const Network net = expand_to_aig(circuits::multiplier(8));
   ParParams one;
   one.num_threads = 1;
@@ -228,65 +250,64 @@ TEST(ParEngine, ParOptimizeIsEquivalentAndDeterministic) {
   four.num_threads = 4;
 
   ParStats stats;
-  const Network r1 = par_optimize(net, GateBasis::xmg(), 2, one, &stats);
+  const Network r1 = par_run(net, compress2rs_shard, one, &stats);
   EXPECT_GT(stats.num_partitions, 1u);
-  const Network r4 = par_optimize(net, GateBasis::xmg(), 2, four);
+  const Network r4 = par_run(net, compress2rs_shard, four);
 
   EXPECT_EQ(check_equivalence(net, r1), CecResult::kEquivalent);
   EXPECT_LT(r1.num_gates(), net.num_gates());
   EXPECT_TRUE(structurally_identical(r1, r4))
-      << "par_optimize must be bit-identical for any thread count";
+      << "par_run must be bit-identical for any thread count";
 }
 
-TEST(ParEngine, ParOptimizeReducesRandomNetworks) {
+TEST(ParEngine, ParCompress2rsReducesRandomNetworks) {
   const auto net = testing::random_network({.num_pis = 10,
                                             .num_gates = 400,
                                             .num_pos = 16,
                                             .basis = GateBasis::xmg(),
                                             .seed = 7});
-  ParParams params;
-  params.num_threads = 2;
-  params.partition.max_gates = 100;
-  const Network opt = par_optimize(net, GateBasis::xmg(), 2, params);
-  EXPECT_EQ(check_equivalence(net, opt), CecResult::kEquivalent);
-  EXPECT_LE(opt.num_gates(), net.num_gates());
+  const flow::FlowContext ctx =
+      run_par(net, "par:pass=compress2rs,rounds=2", 2, 100);
+  EXPECT_EQ(check_equivalence(net, ctx.net), CecResult::kEquivalent);
+  EXPECT_LE(ctx.net.num_gates(), net.num_gates());
 }
 
 TEST(ParEngine, ParMchAddsChoicesAndStaysEquivalent) {
   const Network net = expand_to_aig(circuits::adder(24));
-  ParParams params;
-  params.num_threads = 2;
-  params.partition.max_gates = 80;
-  MchStats mch_stats;
-  const Network choices = par_mch(net, {}, params, nullptr, &mch_stats);
-  EXPECT_GT(mch_stats.num_choices_added, 0u);
-  EXPECT_GT(choices.num_choices(), 0u);
-  EXPECT_EQ(check_equivalence(net, choices), CecResult::kEquivalent);
+  const flow::FlowContext two = run_par(net, "par:pass=mch", 2, 80);
+  EXPECT_GT(two.net.num_choices(), 0u);
+  EXPECT_EQ(check_equivalence(net, two.net), CecResult::kEquivalent);
 
-  ParParams one = params;
-  one.num_threads = 1;
-  const Network c1 = par_mch(net, {}, one);
-  EXPECT_TRUE(structurally_identical(c1, choices))
-      << "par_mch must be bit-identical for any thread count";
+  const flow::FlowContext one = run_par(net, "par:pass=mch", 1, 80);
+  EXPECT_TRUE(structurally_identical(one.net, two.net))
+      << "par:pass=mch must be bit-identical for any thread count";
 }
 
-TEST(ParEngine, ParMapLutMatchesFunctionAndIsDeterministic) {
+TEST(ParEngine, ParMapLutMatchesParRunLutAndIsDeterministic) {
   const Network net = circuits::multiplier(8);
-  ParParams one;
-  one.num_threads = 1;
-  one.partition.max_gates = 120;
-  ParParams four = one;
-  four.num_threads = 4;
+  const flow::FlowContext one = run_par(net, "par:pass=map_lut", 1, 120);
+  const flow::FlowContext four = run_par(net, "par:pass=map_lut", 4, 120);
+  ASSERT_TRUE(one.luts.has_value());
+  ASSERT_TRUE(four.luts.has_value());
+  // The stage acts as a mapping: its report carries the LUTs it made.
+  const flow::StageReport& stage = one.history.back();
+  EXPECT_EQ(stage.luts, one.luts->size());
+  EXPECT_GT(stage.luts, 0u);
+  EXPECT_GT(stage.lut_depth, 0u);
+  EXPECT_TRUE(*one.luts == *four.luts)
+      << "par:pass=map_lut must be bit-identical for any thread count";
 
-  LutMapStats ms;
-  const LutNetwork l1 = par_map_lut(net, {}, one, nullptr, &ms);
-  EXPECT_EQ(ms.num_luts, l1.size());
-  const LutNetwork l4 = par_map_lut(net, {}, four);
-  EXPECT_TRUE(l1 == l4)
-      << "par_map_lut must be bit-identical for any thread count";
+  ParParams params;
+  params.num_threads = 1;
+  params.partition.max_gates = 120;
+  params.partition.keep_choices = true;
+  const LutNetwork direct = par_run_lut(
+      net, [](const Network& shard) { return lut_map(shard); }, params);
+  EXPECT_TRUE(*one.luts == direct)
+      << "par:pass=map_lut must do the work of par_run_lut over lut_map";
 
   // Functional check of the stitched LUT network against the source.
-  const Network back = lut_network_to_network(l1);
+  const Network back = lut_network_to_network(*one.luts);
   EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
 }
 
@@ -299,7 +320,8 @@ TEST(ParEngine, ParMapLutStrashesDuplicatedConeLogic) {
   cones.num_threads = 1;
   cones.partition.strategy = PartitionStrategy::kOutputCones;
   cones.partition.max_gates = 150;
-  const LutNetwork lc = par_map_lut(net, {}, cones);
+  const LutNetwork lc = par_run_lut(
+      net, [](const Network& shard) { return lut_map(shard); }, cones);
   const Network back = lut_network_to_network(lc);
   EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
 }
@@ -310,52 +332,37 @@ TEST(ParEngine, ChoiceAwareParMapLutBitIdenticalAcrossThreads) {
   // must stay bit-identical between 1 worker and N workers, and the result
   // must be functionally equivalent to the source.
   const Network net = expand_to_aig(circuits::multiplier(8));
-  ParParams one;
-  one.num_threads = 1;
-  one.partition.max_gates = 150;
-  const Network choices = par_mch(net, {}, one);
-  ASSERT_GT(choices.num_choices(), 0u);
-
-  LutMapParams mp;
-  mp.use_choices = true;
-  mp.lut_size = 5;
-  const LutNetwork l1 = par_map_lut(choices, mp, one);
+  const flow::FlowContext one =
+      run_par(net, "par:pass=mch; par:pass=map_lut,k=5", 1, 150);
+  ASSERT_GT(one.net.num_choices(), 0u);
+  ASSERT_TRUE(one.luts.has_value());
   for (const int threads : {2, 8}) {
-    ParParams many = one;
-    many.num_threads = threads;
-    const LutNetwork ln = par_map_lut(choices, mp, many);
-    EXPECT_TRUE(l1 == ln)
-        << "par_map_lut diverged at " << threads << " threads";
+    const flow::FlowContext many =
+        run_par(one.net, "par:pass=map_lut,k=5", threads, 150);
+    ASSERT_TRUE(many.luts.has_value());
+    EXPECT_TRUE(*one.luts == *many.luts)
+        << "par:pass=map_lut diverged at " << threads << " threads";
   }
-  const Network back = lut_network_to_network(l1);
+  const Network back = lut_network_to_network(*one.luts);
   EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
 }
 
+constexpr const char* kParPaperFlow =
+    "par:pass=compress2rs,rounds=1; par:pass=mch; par:pass=map_lut; cec";
+
 TEST(ParEngine, FullParallelFlowOnChoiceNetwork) {
-  // popt -> pmch -> pmap_lut, all partitioned, verified end to end.
-  const Network net = circuits::adder(32);
-  ParParams params;
-  params.num_threads = 2;
-  params.partition.max_gates = 100;
-  const Network opt = par_optimize(net, GateBasis::xmg(), 1, params);
-  const Network choices = par_mch(opt, {}, params);
-  const LutNetwork luts = par_map_lut(choices, {}, params);
-  const Network back = lut_network_to_network(luts);
-  EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
+  // Every step partitioned, verified end to end by the flow's `cec`.
+  const flow::FlowContext ctx =
+      run_par(circuits::adder(32), kParPaperFlow, 2, 100);
+  EXPECT_EQ(ctx.history.back().note, "equivalent (LUT network)");
 }
 
 TEST(ParEngine, FullParallelFlowOnMultiplier) {
   // The structure that defeats cone partitioning: global sharing.  The
   // window strategy keeps it tractable end to end.
-  const Network net = expand_to_aig(circuits::multiplier(8));
-  ParParams params;
-  params.num_threads = 2;
-  params.partition.max_gates = 200;
-  const Network opt = par_optimize(net, GateBasis::xmg(), 1, params);
-  const Network choices = par_mch(opt, {}, params);
-  const LutNetwork luts = par_map_lut(choices, {}, params);
-  const Network back = lut_network_to_network(luts);
-  EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
+  const flow::FlowContext ctx = run_par(
+      expand_to_aig(circuits::multiplier(8)), kParPaperFlow, 2, 200);
+  EXPECT_EQ(ctx.history.back().note, "equivalent (LUT network)");
 }
 
 }  // namespace

@@ -344,7 +344,7 @@ TEST(CostOrderedScheduling, DeterministicOnShuffledShardSizes) {
   ParStats stats;
   const Network r1 = par_run(
       net,
-      [](const Network& shard, std::size_t) {
+      [](const Network& shard) {
         return compress2rs_like(shard, GateBasis::xmg(), 1);
       },
       one, &stats);
@@ -354,7 +354,7 @@ TEST(CostOrderedScheduling, DeterministicOnShuffledShardSizes) {
     many.num_threads = threads;
     const Network rn = par_run(
         net,
-        [](const Network& shard, std::size_t) {
+        [](const Network& shard) {
           return compress2rs_like(shard, GateBasis::xmg(), 1);
         },
         many);

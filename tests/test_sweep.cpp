@@ -2,7 +2,7 @@
 /// counterexample-driven class refinement (signature-equal but functionally
 /// different nodes must be split, never merged), the 1-vs-N-thread
 /// bit-identity contract, CEC of input vs fraiged output on the multiplier
-/// and adder benches, and the legacy sweep() delegation.
+/// and adder benches, and the `fraig` flow pass.
 
 #include <gtest/gtest.h>
 
@@ -229,22 +229,6 @@ TEST(Sweep, AdderMiterCollapsesToConstants) {
   p4.num_threads = 4;
   const Network r4 = fraig(miter, p4);
   EXPECT_TRUE(structurally_identical(r1, r4));
-}
-
-TEST(Sweep, LegacySweepDelegatesToEngine) {
-  // sweep() is a thin wrapper: same engine, classic defaults -- and the
-  // fraig output is never worse in gate count than the legacy entry point.
-  const Network net = expand_to_aig(circuits::multiplier(8));
-  SweepParams sp;
-  sp.num_threads = 1;
-  const Network legacy = sweep(net, sp);
-  FraigParams fp;  // fraig defaults == SweepParams defaults
-  const Network direct = fraig(net, fp);
-  EXPECT_TRUE(structurally_identical(legacy, direct));
-  EXPECT_LE(direct.num_gates(), legacy.num_gates());
-  // Full formal checks of fraig outputs live in the adder/multiplier CEC
-  // tests above; an 8-bit multiplier miter alone costs tens of seconds.
-  EXPECT_EQ(sim_falsify(net, legacy, 64, 0x5eed, 1), -1);
 }
 
 TEST(Sweep, FlowFraigPassRunsAndVerifies) {
