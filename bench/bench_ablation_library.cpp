@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "mcs/choice/analysis.hpp"
 #include "mcs/choice/mch.hpp"
 #include "mcs/circuits/circuits.hpp"
 #include "mcs/network/convert.hpp"

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "mcs/common/json.hpp"
 #include "mcs/flow/flow.hpp"
 #include "mcs/map/asic_mapper.hpp"
 #include "mcs/map/lut_mapper.hpp"
@@ -122,8 +123,7 @@ class JsonLine {
  public:
   explicit JsonLine(const std::string& bench, std::FILE* out = nullptr)
       : out_(out) {
-    line_ = "{\"bench\": ";
-    append_quoted(bench);
+    line_ = "{\"bench\": " + json_quote(bench);
   }
   JsonLine(const JsonLine&) = delete;
   JsonLine& operator=(const JsonLine&) = delete;
@@ -149,9 +149,7 @@ class JsonLine {
     return raw(key, std::to_string(value));
   }
   JsonLine& field(const std::string& key, const std::string& value) {
-    begin_field(key);
-    append_quoted(value);
-    return *this;
+    return raw(key, json_quote(value));
   }
   JsonLine& field(const std::string& key, bool value) {
     return raw(key, value ? "true" : "false");
@@ -163,30 +161,10 @@ class JsonLine {
   }
 
  private:
-  void append_quoted(const std::string& s) {
-    line_ += '"';
-    for (const char c : s) {
-      // Control characters (e.g. newlines in captured error notes) would
-      // break the one-JSON-object-per-line contract.
-      switch (c) {
-        case '"': line_ += "\\\""; break;
-        case '\\': line_ += "\\\\"; break;
-        case '\n': line_ += "\\n"; break;
-        case '\r': line_ += "\\r"; break;
-        case '\t': line_ += "\\t"; break;
-        default: line_ += c; break;
-      }
-    }
-    line_ += '"';
-  }
-  void begin_field(const std::string& key) {
-    line_ += ", ";
-    append_quoted(key);
-    line_ += ": ";
-  }
+  // json_quote escapes control characters (e.g. newlines in captured
+  // error notes), which would break the one-JSON-object-per-line contract.
   JsonLine& raw(const std::string& key, const std::string& value) {
-    begin_field(key);
-    line_ += value;
+    line_ += ", " + json_quote(key) + ": " + value;
     return *this;
   }
   std::FILE* out_;

@@ -4,11 +4,13 @@
 #include <cerrno>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
 
 #include "mcs/ckpt/snapshot.hpp"
+#include "mcs/common/json.hpp"
 #include "mcs/fail/fail.hpp"
 #include "mcs/flow/registration.hpp"
 #include "mcs/sim/simulator.hpp"
@@ -102,7 +104,9 @@ std::optional<double> parse_double(std::string_view text) {
   errno = 0;
   char* end = nullptr;
   const double v = std::strtod(t.c_str(), &end);
-  if (errno != 0 || end != t.c_str() + t.size()) return std::nullopt;
+  if (errno != 0 || end != t.c_str() + t.size() || !std::isfinite(v)) {
+    return std::nullopt;
+  }
   return v;
 }
 
@@ -668,21 +672,6 @@ FlowReport run_flow(const std::string& spec) {
 
 namespace {
 
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c; break;
-    }
-  }
-  out += '"';
-}
-
 void append_json_double(std::string& out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -695,9 +684,9 @@ std::string StageReport::to_json() const {
   const StageReport& s = *this;
   std::string out;
   out += "{\"pass\": ";
-  append_json_string(out, s.pass);
+  out += json_quote(s.pass);
   out += ", \"args\": ";
-  append_json_string(out, s.args);
+  out += json_quote(s.args);
   out += ", \"ok\": ";
   out += s.ok ? "true" : "false";
   out += ", \"seconds\": ";
@@ -713,30 +702,30 @@ std::string StageReport::to_json() const {
   out += ", \"delay\": ";
   append_json_double(out, s.delay);
   out += ", \"note\": ";
-  append_json_string(out, s.note);
+  out += json_quote(s.note);
   // Observability fields (see README "Observability"): counter *deltas*
   // over the stage, gauges at stage end, per-name span aggregates.
   // metrics_scope says which accumulator the window read ("job" = the
   // flow's own domain, "process" = the pre-v2 global registry).
   out += ", \"metrics_scope\": ";
-  append_json_string(out, s.metrics_scope);
+  out += json_quote(s.metrics_scope);
   out += ", \"metrics\": {\"counters\": {";
   for (std::size_t k = 0; k < s.metrics.counters.size(); ++k) {
     if (k) out += ", ";
-    append_json_string(out, s.metrics.counters[k].name);
+    out += json_quote(s.metrics.counters[k].name);
     out += ": " + std::to_string(s.metrics.counters[k].value);
   }
   out += "}, \"gauges\": {";
   for (std::size_t k = 0; k < s.metrics.gauges.size(); ++k) {
     if (k) out += ", ";
-    append_json_string(out, s.metrics.gauges[k].name);
+    out += json_quote(s.metrics.gauges[k].name);
     out += ": " + std::to_string(s.metrics.gauges[k].value);
   }
   out += "}}, \"spans\": [";
   for (std::size_t k = 0; k < s.spans.size(); ++k) {
     if (k) out += ", ";
     out += "{\"name\": ";
-    append_json_string(out, s.spans[k].name);
+    out += json_quote(s.spans[k].name);
     out += ", \"count\": " + std::to_string(s.spans[k].count);
     out += ", \"seconds\": ";
     append_json_double(out, s.spans[k].seconds);
@@ -750,7 +739,7 @@ std::string FlowReport::to_json() const {
   std::string out = "{\"ok\": ";
   out += ok ? "true" : "false";
   out += ", \"error\": ";
-  append_json_string(out, error);
+  out += json_quote(error);
   out += ", \"total_seconds\": ";
   append_json_double(out, total_seconds);
   out += ", \"stages\": [";

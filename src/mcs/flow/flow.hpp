@@ -64,6 +64,8 @@ class FlowError : public std::runtime_error {
 
 /// Strict parsers: the whole trimmed token must be consumed, otherwise
 /// std::nullopt (no atoi-style silent truncation of junk to 0).
+/// parse_double also rejects non-finite values (nan, inf), which would
+/// slip through every range check a pass makes.
 std::optional<long long> parse_int(std::string_view text);
 std::optional<double> parse_double(std::string_view text);
 std::optional<bool> parse_bool(std::string_view text);

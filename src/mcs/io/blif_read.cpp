@@ -1,6 +1,5 @@
 #include "mcs/io/blif_read.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
@@ -182,12 +181,6 @@ Network read_blif(std::istream& is) {
     net.create_po(signal_of.at(name), name);
   }
   return cleanup(net);
-}
-
-Network read_blif_file(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) throw std::runtime_error("cannot open " + path);
-  return read_blif(is);
 }
 
 }  // namespace mcs

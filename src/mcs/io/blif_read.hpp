@@ -18,6 +18,5 @@ namespace mcs {
 /// Parses a BLIF model into a mixed network.  Throws std::runtime_error on
 /// malformed input, latches or .subckt.
 Network read_blif(std::istream& is);
-Network read_blif_file(const std::string& path);
 
 }  // namespace mcs

@@ -89,6 +89,15 @@ bool strictly_better(const Network& a, const Network& b,
   return ka < kb;
 }
 
+/// Pareto acceptance: no axis worse, at least one strictly better.
+bool pareto_better(const Network& a, const Network& b) {
+  const bool no_worse =
+      a.num_gates() <= b.num_gates() && a.depth() <= b.depth();
+  const bool strictly =
+      a.num_gates() < b.num_gates() || a.depth() < b.depth();
+  return no_worse && strictly;
+}
+
 }  // namespace
 
 Network iterate_graph_map(Network net, const GraphMapParams& params,
@@ -102,32 +111,6 @@ Network iterate_graph_map(Network net, const GraphMapParams& params,
   if (iters_done) *iters_done = iters;
   return net;
 }
-
-Network mch_graph_map(const Network& net, const GraphMapParams& params,
-                      const MchParams& mch_params, GraphMapStats* stats) {
-  const Network mch = build_mch(net, mch_params);
-  GraphMapParams p = params;
-  p.use_choices = true;
-  Network result = graph_map(mch, p, stats);
-  if (stats) {
-    stats->gates_before = net.num_gates();
-    stats->depth_before = net.depth();
-  }
-  return result;
-}
-
-namespace {
-
-/// Pareto acceptance: no axis worse, at least one strictly better.
-bool pareto_better(const Network& a, const Network& b) {
-  const bool no_worse =
-      a.num_gates() <= b.num_gates() && a.depth() <= b.depth();
-  const bool strictly =
-      a.num_gates() < b.num_gates() || a.depth() < b.depth();
-  return no_worse && strictly;
-}
-
-}  // namespace
 
 Network iterate_mch_graph_map(Network net, const GraphMapParams& params,
                               const MchParams& mch_params, int max_iters,

@@ -46,12 +46,6 @@ Network graph_map(const Network& net, const GraphMapParams& params = {},
 Network iterate_graph_map(Network net, const GraphMapParams& params = {},
                           int max_iters = 16, int* iters_done = nullptr);
 
-/// MCH-based graph mapping (Fig. 5): builds the mixed choice network first,
-/// then maps with choices so candidates from another representation can win.
-Network mch_graph_map(const Network& net, const GraphMapParams& params,
-                      const MchParams& mch_params,
-                      GraphMapStats* stats = nullptr);
-
 /// Iterated MCH-based graph mapping: alternates MCH construction and
 /// choice-aware graph mapping until convergence (the paper's "MCH for
 /// Graph Map" flow).

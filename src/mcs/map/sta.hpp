@@ -2,10 +2,10 @@
 /// \brief Static timing analysis over mapped cell netlists.
 ///
 /// Computes arrival/required/slack per instance under the library's
-/// pin-delay model and extracts the critical path.  Used by the flow
-/// examples and benches to report *where* the delay of a mapped netlist
-/// comes from -- e.g. to show which cells the MCH mapper put on the
-/// critical path versus the baseline.
+/// pin-delay model and extracts the critical path.  examples/asic_flow.cpp
+/// uses it to report *where* the delay of a mapped netlist comes from --
+/// e.g. to show which cells the MCH mapper put on the critical path versus
+/// the baseline.
 
 #pragma once
 

@@ -1,9 +1,6 @@
 #include "mcs/map/techlib.hpp"
 
 #include <cassert>
-#include <cctype>
-#include <sstream>
-#include <stdexcept>
 
 namespace mcs {
 
@@ -122,211 +119,6 @@ TechLibrary TechLibrary::asap7_mini_basic() {
     }
     lib.add_cell(c);
   }
-  lib.prepare_matching();
-  return lib;
-}
-
-// ---------------------------------------------------------------------------
-// genlib parsing
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Recursive-descent parser for genlib boolean expressions:
-///   expr   := term ('+' term)*
-///   term   := factor ('*'? factor)*      (implicit AND by juxtaposition)
-///   factor := '!' factor | atom '\''* | '(' expr ')' | ident | CONST0/1
-class ExprParser {
- public:
-  ExprParser(const std::string& s, std::vector<std::string>& pin_names)
-      : s_(s), pins_(pin_names) {}
-
-  Tt6 parse() {
-    const Tt6 r = parse_or();
-    skip_ws();
-    if (pos_ != s_.size()) {
-      throw std::runtime_error("genlib: trailing characters in expression");
-    }
-    return r;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size() && std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  bool peek_is(char c) {
-    skip_ws();
-    return pos_ < s_.size() && s_[pos_] == c;
-  }
-  bool atom_follows() {
-    skip_ws();
-    if (pos_ >= s_.size()) return false;
-    const char c = s_[pos_];
-    return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-           c == '(' || c == '!';
-  }
-
-  Tt6 parse_or() {
-    Tt6 r = parse_and();
-    while (peek_is('+')) {
-      ++pos_;
-      r |= parse_and();
-    }
-    return r;
-  }
-
-  Tt6 parse_and() {
-    Tt6 r = parse_factor();
-    for (;;) {
-      if (peek_is('*')) {
-        ++pos_;
-        r &= parse_factor();
-      } else if (atom_follows()) {
-        r &= parse_factor();  // implicit AND
-      } else {
-        return r;
-      }
-    }
-  }
-
-  Tt6 parse_factor() {
-    skip_ws();
-    if (pos_ >= s_.size()) throw std::runtime_error("genlib: truncated expr");
-    Tt6 r;
-    if (s_[pos_] == '!') {
-      ++pos_;
-      r = ~parse_factor();
-    } else if (s_[pos_] == '(') {
-      ++pos_;
-      r = parse_or();
-      if (!peek_is(')')) throw std::runtime_error("genlib: missing ')'");
-      ++pos_;
-    } else {
-      std::string ident;
-      while (pos_ < s_.size() &&
-             (std::isalnum(static_cast<unsigned char>(s_[pos_])) ||
-              s_[pos_] == '_')) {
-        ident += s_[pos_++];
-      }
-      if (ident.empty()) throw std::runtime_error("genlib: expected ident");
-      if (ident == "CONST0") {
-        r = tt6_const0();
-      } else if (ident == "CONST1") {
-        r = tt6_const1();
-      } else {
-        int idx = -1;
-        for (std::size_t i = 0; i < pins_.size(); ++i) {
-          if (pins_[i] == ident) idx = static_cast<int>(i);
-        }
-        if (idx < 0) {
-          idx = static_cast<int>(pins_.size());
-          pins_.push_back(ident);
-          if (idx >= 4) throw std::runtime_error("genlib: > 4 pins");
-        }
-        r = tt6_var(idx);
-      }
-    }
-    // Postfix complement(s): a'.
-    while (peek_is('\'')) {
-      ++pos_;
-      r = ~r;
-    }
-    return r;
-  }
-
-  const std::string& s_;
-  std::vector<std::string>& pins_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-TechLibrary TechLibrary::parse_genlib(const std::string& text,
-                                      std::string name) {
-  TechLibrary lib(std::move(name));
-  std::istringstream in(text);
-  std::string token;
-
-  struct PendingCell {
-    Cell cell;
-    std::vector<std::string> pin_names;
-    std::unordered_map<std::string, double> pin_delay_by_name;
-    double wildcard_delay = -1.0;
-  };
-  std::optional<PendingCell> pending;
-
-  auto flush = [&]() {
-    if (!pending) return;
-    auto& pc = *pending;
-    pc.cell.num_pins = static_cast<int>(pc.pin_names.size());
-    pc.cell.function = tt6_replicate(pc.cell.function, pc.cell.num_pins);
-    pc.cell.pin_delays.clear();
-    for (const auto& pn : pc.pin_names) {
-      double dly = pc.wildcard_delay >= 0 ? pc.wildcard_delay : 1.0;
-      if (auto it = pc.pin_delay_by_name.find(pn);
-          it != pc.pin_delay_by_name.end()) {
-        dly = it->second;
-      }
-      pc.cell.pin_delays.push_back(dly);
-    }
-    // Constant cells and cells without full support are not matchable.
-    const auto support = tt6_support(pc.cell.function, pc.cell.num_pins);
-    if (pc.cell.num_pins > 0 &&
-        support == (1u << pc.cell.num_pins) - 1u) {
-      lib.add_cell(std::move(pc.cell));
-    }
-    pending.reset();
-  };
-
-  std::string line;
-  while (std::getline(in, line)) {
-    // Strip comments.
-    if (const auto hash = line.find('#'); hash != std::string::npos) {
-      line.resize(hash);
-    }
-    std::istringstream ls(line);
-    std::string kw;
-    if (!(ls >> kw)) continue;
-    if (kw == "GATE") {
-      flush();
-      PendingCell pc;
-      double area;
-      std::string cell_name;
-      if (!(ls >> cell_name >> area)) {
-        throw std::runtime_error("genlib: malformed GATE line");
-      }
-      std::string rest;
-      std::getline(ls, rest);
-      const auto eq = rest.find('=');
-      const auto semi = rest.rfind(';');
-      if (eq == std::string::npos || semi == std::string::npos) {
-        throw std::runtime_error("genlib: GATE needs out=expr;");
-      }
-      const std::string expr = rest.substr(eq + 1, semi - eq - 1);
-      pc.cell.name = cell_name;
-      pc.cell.area = area;
-      pc.cell.function = ExprParser(expr, pc.pin_names).parse();
-      pending = std::move(pc);
-    } else if (kw == "PIN" && pending) {
-      // PIN <name|*> <phase> <in_load> <max_load> <rise_dly> <rise_fan>
-      //     <fall_dly> <fall_fan>
-      std::string pin_name, phase;
-      double in_load, max_load, rd, rf, fd, ff;
-      if (!(ls >> pin_name >> phase >> in_load >> max_load >> rd >> rf >>
-            fd >> ff)) {
-        throw std::runtime_error("genlib: malformed PIN line");
-      }
-      const double delay = std::max(rd, fd);
-      if (pin_name == "*") {
-        pending->wildcard_delay = delay;
-      } else {
-        pending->pin_delay_by_name[pin_name] = delay;
-      }
-    }
-  }
-  flush();
   lib.prepare_matching();
   return lib;
 }

@@ -6,11 +6,10 @@
 /// and pin delays (ps) are scaled from published ASAP7 RVT figures -- the
 /// mapper consumes only (function, area, pin delays), so relative
 /// comparisons between flows are preserved (see DESIGN.md, substitutions).
-/// A genlib-style parser is provided for external libraries.
+/// The libraries are built in code; there is no genlib reader.
 
 #pragma once
 
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -71,11 +70,6 @@ class TechLibrary {
   /// style only).  Used by the library ablation: heterogeneous MCH
   /// candidates can only pay off in cells the library actually offers.
   static TechLibrary asap7_mini_basic();
-
-  /// Parses a genlib-format description (GATE lines with SOP-style
-  /// expressions over pin names; PIN lines supply delays).
-  static TechLibrary parse_genlib(const std::string& text,
-                                  std::string name = "genlib");
 
  private:
   std::string name_;

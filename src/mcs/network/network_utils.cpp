@@ -368,17 +368,6 @@ Network cleanup(const Network& net, const CleanupOptions& opts) {
   return dst;
 }
 
-std::vector<std::vector<NodeId>> fanout_lists(const Network& net) {
-  std::vector<std::vector<NodeId>> fo(net.size());
-  for (NodeId n = 0; n < net.size(); ++n) {
-    const Node& nd = net.node(n);
-    for (int i = 0; i < nd.num_fanins; ++i) {
-      fo[nd.fanin[i].node()].push_back(n);
-    }
-  }
-  return fo;
-}
-
 std::uint32_t recompute_levels(Network& net) {
   for (NodeId n = 0; n < net.size(); ++n) {
     Node& nd = net.node(n);

@@ -84,10 +84,6 @@ struct CleanupOptions {
 /// re-strashed, which can merge structurally duplicate logic.
 Network cleanup(const Network& net, const CleanupOptions& opts = {});
 
-/// Per-node fanout lists (indexed by NodeId; includes gate fanouts only,
-/// not PO references).
-std::vector<std::vector<NodeId>> fanout_lists(const Network& net);
-
 /// Recomputes node levels assuming unit gate delays; returns network depth.
 /// (Levels are maintained incrementally on construction; this is used by
 /// tests and by algorithms that temporarily invalidate levels.)

@@ -17,6 +17,8 @@
 #include <thread>
 #include <unordered_map>
 
+#include "mcs/common/json.hpp"
+
 namespace mcs::obs {
 
 #ifndef MCS_OBS_DISABLE
@@ -135,25 +137,6 @@ struct ThreadTraceHolder {
 ThreadTraceBuf& thread_trace_buf() {
   thread_local ThreadTraceHolder holder;
   return holder.buf;
-}
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
 }
 
 std::string g_trace_path;  // set once by init_from_env before the atexit hook

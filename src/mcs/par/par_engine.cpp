@@ -51,8 +51,7 @@ void for_each_shard(const PartitionSet& parts, std::size_t num_threads,
 }
 
 /// partition_network with a trace span and a run counter.
-template <typename Params>
-PartitionSet partition_traced(const Network& net, const Params& pp) {
+PartitionSet partition_traced(const Network& net, const PartitionParams& pp) {
   obs::Span span("par:partition");
   obs::counter("par.partition_runs").increment();
   return partition_network(net, pp);
@@ -187,8 +186,9 @@ LutNetwork par_run_lut(const Network& net, const ShardMapFn& map_shard,
   // pair; a complemented boundary feeding a LUT is absorbed into that
   // LUT's function (LUT inputs carry no polarity).  LUTs are structurally
   // hashed on (function, inputs) while stitching -- the LUT-level analogue
-  // of reassemble()'s re-strashing -- so logic duplicated across shards
-  // (kOutputCones) collapses back to one copy.
+  // of reassemble()'s re-strashing -- so a LUT identical to one already
+  // stitched (same function over the same merged inputs) reuses it, and
+  // constant POs share one 0-input LUT.
   obs::Span stitch_span("par:stitch");
   LutNetwork merged;
   merged.num_pis = static_cast<int>(net.num_pis());

@@ -50,9 +50,11 @@ using ShardMapFn = std::function<LutNetwork(const Network&)>;
 
 /// Generic partition-parallel mapping driver: maps every shard with
 /// \p map_shard and stitches the shard LUT networks over the original
-/// PI/PO interface, structurally hashing LUTs so logic duplicated across
-/// shards (kOutputCones) collapses back to one copy.  Choice-aware mapping
-/// needs params.partition.keep_choices so the classes reach the shards.
+/// PI/PO interface.  LUTs are structurally hashed on (function, inputs)
+/// after boundary resolution, so LUTs that come out identical are stored
+/// once and every constant PO shares one 0-input LUT.  Choice-aware
+/// mapping needs params.partition.keep_choices so the classes reach the
+/// shards.
 LutNetwork par_run_lut(const Network& net, const ShardMapFn& map_shard,
                        const ParParams& params = {}, ParStats* stats = nullptr);
 

@@ -113,18 +113,11 @@ Partition build_shard(const Network& net, const std::vector<NodeId>& gates,
   return part;
 }
 
-/// Marks the gate roots of the source POs as exported.
-void export_po_roots(const Network& net, std::vector<bool>& exported) {
-  for (const auto s : net.pos()) {
-    if (net.is_gate(s.node())) exported[s.node()] = true;
-  }
-}
-
 /// Builds the shards for \p shard_gates (one ascending-id gate list each;
 /// empty lists yield no shard) on up to \p num_threads workers and appends
-/// them to \p set in list order.  This is the parallel section of both
-/// partitioning strategies: banding/grouping is a cheap serial sweep, while
-/// building a shard re-strashes every one of its gates.
+/// them to \p set in list order.  This is the parallel section of
+/// partitioning: banding is a cheap serial sweep, while building a shard
+/// re-strashes every one of its gates.
 void build_shards(const Network& net,
                   const std::vector<std::vector<NodeId>>& shard_gates,
                   const std::vector<bool>& exported, bool keep_choices,
@@ -148,89 +141,12 @@ void build_shards(const Network& net,
   }
 }
 
-// --- kOutputCones ----------------------------------------------------------
+}  // namespace
 
-PartitionSet partition_cones(const Network& net,
-                             const PartitionParams& params) {
-  PartitionSet set;
-
-  // Group POs greedily in interface order: `stamp[n] == g` marks n as
-  // counted for group g, so shared cones inside one group count once.
-  std::vector<std::uint32_t> stamp(net.size(), kNoBand);
-  std::vector<std::vector<std::size_t>> groups;
-  std::vector<NodeId> stack;
-  std::size_t group_gates = 0;
-
-  auto count_cone = [&](NodeId root, std::uint32_t g) {
-    auto visit = [&](NodeId n) {
-      if (stamp[n] == g) return;
-      stamp[n] = g;
-      if (net.is_gate(n)) ++group_gates;
-      stack.push_back(n);
-    };
-    visit(root);
-    while (!stack.empty()) {
-      const NodeId n = stack.back();
-      stack.pop_back();
-      const Node& nd = net.node(n);
-      for (int i = 0; i < nd.num_fanins; ++i) visit(nd.fanin[i].node());
-      if (params.keep_choices && net.is_repr(n)) {
-        for (NodeId m = nd.next_choice; m != kNullNode;
-             m = net.node(m).next_choice) {
-          visit(m);
-        }
-      }
-    }
-  };
-
-  groups.emplace_back();
-  for (std::size_t i = 0; i < net.num_pos(); ++i) {
-    const bool last_allowed =
-        params.max_partitions != 0 && groups.size() >= params.max_partitions;
-    if (!groups.back().empty() && group_gates > params.max_gates &&
-        !last_allowed) {
-      groups.emplace_back();
-      group_gates = 0;
-    }
-    groups.back().push_back(i);
-    count_cone(net.po_at(i).node(),
-               static_cast<std::uint32_t>(groups.size() - 1));
-  }
-
-  std::vector<bool> exported(net.size(), false);
-  export_po_roots(net, exported);
-
-  // Cone collection per group runs in the parallel section too (it uses
-  // caller-local scratch, not the shared traversal marks).
-  std::vector<std::vector<NodeId>> shard_gates(groups.size());
-  const std::size_t threads = ThreadPool::resolve_threads(params.num_threads);
-  ThreadPool::global().submit_bulk(
-      groups.size(),
-      [&](std::size_t g) {
-        std::vector<NodeId> roots;
-        for (const std::size_t po : groups[g]) {
-          const NodeId r = net.po_at(po).node();
-          if (net.is_gate(r)) roots.push_back(r);
-        }
-        if (roots.empty()) return;  // all-degenerate group: nothing to shard
-        std::vector<char> seen;
-        for (const NodeId n :
-             collect_cone_nodes(net, roots, params.keep_choices, seen)) {
-          if (net.is_gate(n)) shard_gates[g].push_back(n);
-        }
-      },
-      threads);
-
-  build_shards(net, shard_gates, exported, params.keep_choices,
-               params.num_threads, set);
-  return set;
-}
-
-// --- kLevelWindows ---------------------------------------------------------
-
-PartitionSet partition_windows(const Network& net,
+PartitionSet partition_network(const Network& net,
                                const PartitionParams& params) {
   PartitionSet set;
+  if (net.num_pos() == 0) return set;
 
   // PO-reachable gates through fanin edges: the "regular" structure.
   // Choice members are not PO-reachable and are banded with their
@@ -250,9 +166,6 @@ PartitionSet partition_windows(const Network& net,
       (num_regular + params.max_gates - 1) / std::max<std::size_t>(
                                                  1, params.max_gates);
   want = std::max<std::size_t>(1, want);
-  if (params.max_partitions != 0) {
-    want = std::min(want, params.max_partitions);
-  }
   const std::uint32_t width = std::max<std::uint32_t>(
       1, (depth + static_cast<std::uint32_t>(want) - 1) /
              static_cast<std::uint32_t>(want));
@@ -315,7 +228,9 @@ PartitionSet partition_windows(const Network& net,
   // Exports: a regular gate consumed by any higher band (through regular
   // fanins or member cones) or rooting a source PO.
   std::vector<bool> exported(net.size(), false);
-  export_po_roots(net, exported);
+  for (const auto s : net.pos()) {
+    if (net.is_gate(s.node())) exported[s.node()] = true;
+  }
   auto mark_uses = [&](NodeId n, std::uint32_t consumer_band) {
     const Node& nd = net.node(n);
     for (int i = 0; i < nd.num_fanins; ++i) {
@@ -346,20 +261,6 @@ PartitionSet partition_windows(const Network& net,
   build_shards(net, shard_gates, exported, params.keep_choices,
                params.num_threads, set);
   return set;
-}
-
-}  // namespace
-
-PartitionSet partition_network(const Network& net,
-                               const PartitionParams& params) {
-  if (net.num_pos() == 0) return {};
-  switch (params.strategy) {
-    case PartitionStrategy::kOutputCones:
-      return partition_cones(net, params);
-    case PartitionStrategy::kLevelWindows:
-    default:
-      return partition_windows(net, params);
-  }
 }
 
 Network reassemble(const Network& source, const PartitionSet& parts,

@@ -4,22 +4,12 @@
 /// A combinational network is split into self-contained shards; every shard
 /// is an ordinary Network, so each existing single-threaded pass --
 /// optimization scripts, MCH construction, the mappers -- runs on a shard
-/// unchanged.  Two strategies are provided:
-///
-///   - kOutputCones: primary outputs are grouped greedily in interface
-///     order and each shard is the union of the group's transitive fanin
-///     cones, reaching down to the original PIs.  Boundary inputs are
-///     original PIs only.  Logic shared between groups is *duplicated* and
-///     re-merged by strashing at reassembly.  Great for wide, shallow
-///     interfaces (adders, control logic); degenerates on globally shared
-///     structures (a multiplier's high output cones each cover almost the
-///     whole array).
-///
-///   - kLevelWindows: the network is sliced into horizontal bands by gate
-///     level.  Boundary PIs/POs sit at *internal* nodes (a shard PI stands
-///     for the non-complemented function of a lower band's node), so no
-///     gate is ever duplicated: total shard work equals network size
-///     regardless of structure.  The default everywhere.
+/// unchanged.  The network is sliced into level windows: horizontal bands
+/// by gate level.  Boundary PIs/POs sit at *internal* nodes (a shard PI
+/// stands for the non-complemented function of a lower band's node), so no
+/// gate is ever duplicated: total shard work equals network size
+/// regardless of structure, even on globally shared structures such as a
+/// multiplier array.
 ///
 /// Determinism contract: partitioning depends only on the input network
 /// and the parameters, and reassemble() stitches shards back in fixed
@@ -36,28 +26,17 @@
 
 namespace mcs {
 
-enum class PartitionStrategy {
-  kLevelWindows,  ///< level bands, internal boundaries, zero duplication
-  kOutputCones,   ///< PO-cone unions, PI boundaries, possible duplication
-};
-
 struct PartitionParams {
-  PartitionStrategy strategy = PartitionStrategy::kLevelWindows;
-
-  /// Soft cap on the gate count of one shard.  Cones: a group is closed
-  /// once its cone union exceeds this.  Windows: the band count is chosen
-  /// as ceil(gates / max_gates).
+  /// Soft cap on the gate count of one shard: the band count is chosen as
+  /// ceil(gates / max_gates).
   std::size_t max_gates = 4000;
-
-  /// Upper bound on the number of shards; 0 means unlimited.
-  std::size_t max_partitions = 0;
 
   /// Carry choice classes into the shards (members ride with their
   /// representative's shard), so choice-aware passes see them.
   bool keep_choices = false;
 
-  /// Worker threads for the shard *construction* phase (banding/grouping
-  /// stays serial; building the per-shard Networks fans out).  Values < 1
+  /// Worker threads for the shard *construction* phase (banding stays
+  /// serial; building the per-shard Networks fans out).  Values < 1
   /// resolve through ThreadPool::resolve_threads (MCS_THREADS / hardware).
   /// The result is bit-identical for any value.
   int num_threads = 1;
@@ -65,10 +44,10 @@ struct PartitionParams {
 
 /// One shard.  The boundary is expressed in *source node* terms: shard
 /// PI i realizes the non-complemented function of source node inputs[i]
-/// (an original PI or, for kLevelWindows, an internal node of a lower
-/// band); shard PO j computes the non-complemented function of source
-/// node outputs[j].  Passes run on `net` may restructure it freely as long
-/// as the PI/PO interface (count, order, function) is preserved.
+/// (an original PI or an internal node of a lower band); shard PO j
+/// computes the non-complemented function of source node outputs[j].
+/// Passes run on `net` may restructure it freely as long as the PI/PO
+/// interface (count, order, function) is preserved.
 struct Partition {
   Network net;
   std::vector<NodeId> inputs;
@@ -79,10 +58,10 @@ struct PartitionSet {
   std::vector<Partition> parts;
 };
 
-/// Splits \p net into shards (see file comment).  The cone of every PO of
-/// \p net is covered; shards are ordered bottom-up (kLevelWindows) /
-/// in PO order (kOutputCones), and within reassemble() a shard may only
-/// consume boundary nodes produced by earlier shards or original PIs.
+/// Splits \p net into level-window shards (see file comment).  The cone of
+/// every PO of \p net is covered; shards are ordered bottom-up, so within
+/// reassemble() a shard only consumes boundary nodes produced by earlier
+/// shards or original PIs.
 PartitionSet partition_network(const Network& net,
                                const PartitionParams& params = {});
 
@@ -99,8 +78,8 @@ struct ReassembleOptions {
 /// Stitches the (possibly rewritten) shard networks of \p parts back into
 /// one network with the PI/PO interface and names of \p source.  Shards
 /// are processed in fixed partition order and every gate is re-strashed,
-/// which deterministically re-merges logic duplicated across shard
-/// boundaries.
+/// which deterministically merges structurally identical logic that
+/// different shards produce.
 Network reassemble(const Network& source, const PartitionSet& parts,
                    const ReassembleOptions& opts = {});
 

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 
 namespace mcs::server {
 
@@ -252,35 +251,6 @@ const Json* Json::find(std::string_view key) const noexcept {
     if (k == key) return &v;
   }
   return nullptr;
-}
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-        break;
-    }
-  }
-}
-
-std::string json_quote(std::string_view s) {
-  std::string out = "\"";
-  append_json_escaped(out, s);
-  out += '"';
-  return out;
 }
 
 }  // namespace mcs::server

@@ -20,6 +20,8 @@
 #include <utility>
 #include <vector>
 
+#include "mcs/common/json.hpp"
+
 namespace mcs::server {
 
 /// Raised on malformed JSON text and on type-mismatched accessor calls.
@@ -73,12 +75,8 @@ class Json {
   friend class JsonParser;
 };
 
-/// Appends \p s to \p out with JSON string escaping (quotes not included).
-/// Control characters are emitted as \u00XX so any byte sequence
-/// round-trips through a single protocol line.
-void append_json_escaped(std::string& out, std::string_view s);
-
-/// Convenience: "..." with escaping.
-std::string json_quote(std::string_view s);
+/// Protocol strings are quoted with the library-wide escaper
+/// (mcs/common/json.hpp).
+using mcs::json_quote;
 
 }  // namespace mcs::server

@@ -7,8 +7,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <istream>
-#include <ostream>
 #include <sstream>
 
 #include "mcs/ckpt/snapshot.hpp"
@@ -986,27 +984,6 @@ void JobServer::maybe_compact_journal() {
   }
   journal_.rewrite_and_reopen(options_.journal_path, entries);
   metrics().journal_compactions.increment();
-}
-
-void JobServer::serve_stream(std::istream& in, std::ostream& out) {
-  std::mutex out_mutex;  // the sink mutex is per client; this guards `out`
-  const std::uint64_t client =
-      attach([&out, &out_mutex](const std::string& line) {
-        std::lock_guard<std::mutex> lock(out_mutex);
-        out << line << '\n';
-        out.flush();
-      });
-
-  std::string line;
-  while (std::getline(in, line)) {
-    handle_line(client, line);
-    // A "shutdown" request flips draining_ (and was answered with a
-    // "draining" line); stop reading and fall through to the drain.
-    if (draining()) break;
-  }
-  drain();
-  emit(client, drained_line(counters()));
-  detach(client);
 }
 
 }  // namespace mcs::server

@@ -31,10 +31,10 @@
 /// line; other jobs are unaffected.
 ///
 /// **Transports.**  The core is transport-agnostic: attach() registers a
-/// client sink, handle_line() feeds one protocol line.  serve_stream()
-/// adapts any istream/ostream pair (the `mcs_server --pipe` mode used by
-/// tests and CI -- no networking involved); tools/mcs_server.cpp adds
-/// Unix/TCP socket listeners on top of the same three calls.
+/// client sink, handle_line() feeds one protocol line and detach() drops
+/// the client.  tools/mcs_server.cpp builds every transport on these three
+/// calls: stdin/stdout (the `mcs_server --pipe` mode used by tests and CI
+/// -- no networking involved) and Unix/TCP socket listeners.
 ///
 /// **Observability.**  Every job runs under a `server:job` span (each
 /// stage additionally under `server:stage`), and the server maintains
@@ -84,7 +84,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -220,13 +219,6 @@ class JobServer {
   bool draining() const;
   std::size_t jobs_in_flight() const;
   ServerCounters counters() const;
-
-  /// One-client stream transport (the --pipe mode): reads request lines
-  /// from \p in until EOF or a "shutdown" request, writes every response
-  /// line to \p out (flushed per line), then drains and emits a final
-  /// "drained" line.  Tests and CI drive the whole server through this --
-  /// no sockets required.
-  void serve_stream(std::istream& in, std::ostream& out);
 
  private:
   struct Client {

@@ -7,7 +7,6 @@
 
 #include "mcs/common/hash.hpp"
 #include "mcs/common/rng.hpp"
-#include "mcs/network/network_utils.hpp"
 #include "mcs/obs/obs.hpp"
 #include "mcs/par/thread_pool.hpp"
 
@@ -278,12 +277,6 @@ std::vector<TruthTable> simulate_pos(const Network& net) {
     pos.push_back(std::move(t));
   }
   return pos;
-}
-
-TruthTable simulate_signal(const Network& net, Signal s) {
-  assert(static_cast<int>(net.num_pis()) <= TruthTable::kMaxVars);
-  std::vector<NodeId> leaves(net.pis());
-  return cone_function(net, s, leaves);
 }
 
 }  // namespace mcs

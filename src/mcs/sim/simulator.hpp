@@ -104,7 +104,4 @@ std::ptrdiff_t sim_falsify(const Network& a, const Network& b, int num_words,
 /// \pre net.num_pis() <= TruthTable::kMaxVars.
 std::vector<TruthTable> simulate_pos(const Network& net);
 
-/// Exhaustive simulation of a single signal's global function.
-TruthTable simulate_signal(const Network& net, Signal s);
-
 }  // namespace mcs

@@ -1,5 +1,5 @@
-/// Tests for the technology library (mini-ASAP7, genlib parsing, NPN match
-/// index) and the phase-aware ASIC mapper.
+/// Tests for the technology library (mini-ASAP7, NPN match index) and the
+/// phase-aware ASIC mapper.
 
 #include <gtest/gtest.h>
 
@@ -87,44 +87,6 @@ TEST(AsicMapper, BasicLibraryMapsXagNetworks) {
        .basis = GateBasis::xag(), .seed = 99});
   const auto m = asic_map(net, basic);
   expect_netlist_equivalent(net, m);
-}
-
-TEST(TechLibrary, GenlibRoundTrip) {
-  const std::string text = R"(
-# a tiny genlib
-GATE inv1 1.0 O=!a;
-  PIN * INV 1 999 0.9 0.0 0.9 0.0
-GATE nand2 2.0 O=!(a*b);
-  PIN * INV 1 999 1.0 0.0 1.0 0.0
-GATE aoi21 3.0 O=!(a*b+c);
-  PIN a INV 1 999 1.2 0.0 1.1 0.0
-  PIN b INV 1 999 1.2 0.0 1.2 0.0
-  PIN c INV 1 999 0.8 0.0 0.9 0.0
-GATE xor2 4.0 O=a*!b+!a*b;
-  PIN * UNKNOWN 1 999 2.0 0.0 2.0 0.0
-GATE zero 0.0 O=CONST0;
-)";
-  const TechLibrary l = TechLibrary::parse_genlib(text);
-  ASSERT_EQ(l.cells().size(), 4u) << "constant cells are skipped";
-  EXPECT_GE(l.inverter(), 0);
-  EXPECT_EQ(l.cell(l.inverter()).name, "inv1");
-
-  const Cell* aoi = nullptr;
-  for (const auto& c : l.cells()) {
-    if (c.name == "aoi21") aoi = &c;
-  }
-  ASSERT_NE(aoi, nullptr);
-  EXPECT_EQ(aoi->num_pins, 3);
-  EXPECT_TRUE(tt6_equal(aoi->function,
-                        ~((tt6_var(0) & tt6_var(1)) | tt6_var(2)), 3));
-  EXPECT_DOUBLE_EQ(aoi->pin_delays[2], 0.9);
-
-  const Cell* x = nullptr;
-  for (const auto& c : l.cells()) {
-    if (c.name == "xor2") x = &c;
-  }
-  ASSERT_NE(x, nullptr);
-  EXPECT_TRUE(tt6_equal(x->function, tt6_var(0) ^ tt6_var(1), 2));
 }
 
 TEST(AsicMapper, SingleAndGate) {

@@ -94,17 +94,6 @@ TEST(EdgeCases, AigerRejectsGarbage) {
   }
 }
 
-TEST(EdgeCases, GenlibRejectsMalformedInput) {
-  EXPECT_THROW(TechLibrary::parse_genlib("GATE broken"), std::runtime_error);
-  EXPECT_THROW(
-      TechLibrary::parse_genlib("GATE g 1.0 O=a*(b;\n"),
-      std::runtime_error);
-  EXPECT_THROW(
-      TechLibrary::parse_genlib("GATE g 1.0 O=a*b*c*d*e;\n"),
-      std::runtime_error)
-      << "more than 4 pins";
-}
-
 TEST(EdgeCases, WordLibZeroAndBoundaryValues) {
   Network net;
   const auto a = circuits::make_pi_word(net, 4, "a");

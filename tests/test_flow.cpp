@@ -57,6 +57,11 @@ TEST(FlowParse, DoubleRejectsJunk) {
   EXPECT_FALSE(flow::parse_double("").has_value());
   EXPECT_FALSE(flow::parse_double("0.9x").has_value());
   EXPECT_FALSE(flow::parse_double("ratio").has_value());
+  // Non-finite values pass no range check (every comparison with NaN is
+  // false), so the parser refuses them for every double parameter.
+  EXPECT_FALSE(flow::parse_double("nan").has_value());
+  EXPECT_FALSE(flow::parse_double("inf").has_value());
+  EXPECT_FALSE(flow::parse_double("-inf").has_value());
 }
 
 TEST(FlowParse, BoolAndBasis) {
@@ -160,6 +165,7 @@ TEST(FlowSpec, MalformedSpecsThrowBeforeExecution) {
   EXPECT_THROW(Flow::parse("gen:adder; frobnicate; cec"), FlowError);
   EXPECT_THROW(Flow::parse("gen:bits=oops"), FlowError);
   EXPECT_THROW(Flow::parse("mch:ratio=high"), FlowError);
+  EXPECT_THROW(Flow::parse("gen; mch:ratio=nan"), FlowError);
   EXPECT_THROW(Flow::parse(":bits=2"), FlowError);
   EXPECT_THROW(Flow::parse("map_lut:k=6,k=6"), FlowError);
   // par validates its inner pass and forwarded args at parse time.
@@ -485,6 +491,26 @@ TEST(FlowReportJson, StageJsonParsesWithTheServerParser) {
   const server::Json whole = server::Json::parse(report.to_json());
   EXPECT_TRUE(whole.find("ok")->as_bool());
   EXPECT_EQ(whole.find("stages")->items().size(), report.stages.size());
+}
+
+TEST(FlowReportJson, ControlCharactersAreEscaped) {
+  // A control byte in a stage's args reaches its note through the error
+  // message; both reports must still be one valid JSON value each.
+  FlowContext ctx;
+  const FlowReport report =
+      flow::run_flow("read_aiger:file=bad\x01name.aig", ctx);
+  ASSERT_FALSE(report.ok);
+  ASSERT_EQ(report.stages.size(), 1u);
+  const flow::StageReport& stage = report.stages[0];
+  ASSERT_NE(stage.note.find('\x01'), std::string::npos) << stage.note;
+
+  const server::Json parsed = server::Json::parse(stage.to_json());
+  EXPECT_EQ(parsed.find("args")->as_string(), stage.args);
+  EXPECT_EQ(parsed.find("note")->as_string(), stage.note);
+  const server::Json whole = server::Json::parse(report.to_json());
+  EXPECT_EQ(whole.find("error")->as_string(), report.error);
+  EXPECT_EQ(whole.find("stages")->items()[0].find("note")->as_string(),
+            stage.note);
 }
 
 // --- README pass table ------------------------------------------------------

@@ -1,9 +1,9 @@
-/// Unit tests for the mcs::par subsystem: thread pool semantics, partition
-/// + reassemble round trips (CEC-equivalent to the original) for both
-/// strategies, choice preservation across sharding, the `par:` flow stages
-/// over transforms, choice builders and LUT mapping, and the determinism
-/// contract (1 thread vs N threads yield bit-identical networks and LUT
-/// mappings).
+/// Unit tests for the mcs::par subsystem: thread pool semantics, level-window
+/// partition + reassemble round trips (CEC-equivalent to the original),
+/// choice preservation across sharding, the LUT stitch's strashing, the
+/// `par:` flow stages over transforms, choice builders and LUT mapping, and
+/// the determinism contract (1 thread vs N threads yield bit-identical
+/// networks and LUT mappings).
 
 #include <gtest/gtest.h>
 
@@ -75,20 +75,10 @@ void expect_pos_covered(const Network& net, const PartitionSet& parts) {
   }
 }
 
-TEST(Partition, ConesCoverEveryPo) {
-  const Network net = circuits::adder(32);
-  PartitionParams params;
-  params.strategy = PartitionStrategy::kOutputCones;
-  params.max_gates = 40;
-  const PartitionSet parts = partition_network(net, params);
-  EXPECT_GT(parts.parts.size(), 1u);
-  expect_pos_covered(net, parts);
-}
-
 TEST(Partition, WindowsCoverEveryPoWithoutDuplication) {
   const Network net = circuits::multiplier(8);
   PartitionParams params;
-  params.max_gates = 150;  // default strategy: level windows
+  params.max_gates = 150;
   const PartitionSet parts = partition_network(net, params);
   EXPECT_GT(parts.parts.size(), 1u);
   expect_pos_covered(net, parts);
@@ -103,48 +93,26 @@ TEST(Partition, WindowsCoverEveryPoWithoutDuplication) {
   EXPECT_EQ(shard_gates, reachable);
 }
 
-TEST(Partition, RespectsMaxPartitions) {
-  const Network net = circuits::adder(64);
-  for (const auto strategy : {PartitionStrategy::kLevelWindows,
-                              PartitionStrategy::kOutputCones}) {
-    PartitionParams params;
-    params.strategy = strategy;
-    params.max_gates = 10;
-    params.max_partitions = 4;
-    const PartitionSet parts = partition_network(net, params);
-    EXPECT_LE(parts.parts.size(), 4u);
-    EXPECT_GT(parts.parts.size(), 1u);
-  }
-}
-
-TEST(Partition, RoundTripIsEquivalentOnAdderBothStrategies) {
+TEST(Partition, RoundTripIsEquivalentOnAdder) {
   const Network net = circuits::adder(48);
-  for (const auto strategy : {PartitionStrategy::kLevelWindows,
-                              PartitionStrategy::kOutputCones}) {
-    PartitionParams params;
-    params.strategy = strategy;
-    params.max_gates = 60;
-    const PartitionSet parts = partition_network(net, params);
-    EXPECT_GT(parts.parts.size(), 1u);
-    const Network back = reassemble(net, parts);
-    EXPECT_EQ(back.num_pis(), net.num_pis());
-    EXPECT_EQ(back.num_pos(), net.num_pos());
-    EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
-  }
+  PartitionParams params;
+  params.max_gates = 60;
+  const PartitionSet parts = partition_network(net, params);
+  EXPECT_GT(parts.parts.size(), 1u);
+  const Network back = reassemble(net, parts);
+  EXPECT_EQ(back.num_pis(), net.num_pis());
+  EXPECT_EQ(back.num_pos(), net.num_pos());
+  EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
 }
 
-TEST(Partition, RoundTripIsEquivalentOnMultiplierBothStrategies) {
+TEST(Partition, RoundTripIsEquivalentOnMultiplier) {
   const Network net = circuits::multiplier(8);
-  for (const auto strategy : {PartitionStrategy::kLevelWindows,
-                              PartitionStrategy::kOutputCones}) {
-    PartitionParams params;
-    params.strategy = strategy;
-    params.max_gates = 150;
-    const PartitionSet parts = partition_network(net, params);
-    EXPECT_GT(parts.parts.size(), 1u);
-    const Network back = reassemble(net, parts);
-    EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
-  }
+  PartitionParams params;
+  params.max_gates = 150;
+  const PartitionSet parts = partition_network(net, params);
+  EXPECT_GT(parts.parts.size(), 1u);
+  const Network back = reassemble(net, parts);
+  EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
 }
 
 TEST(Partition, RoundTripHandlesDegeneratePos) {
@@ -155,16 +123,12 @@ TEST(Partition, RoundTripHandlesDegeneratePos) {
   net.create_po(net.constant(true), "const1");
   net.create_po(!a, "na");
   net.create_po(net.create_and(a, b), "ab");
-  for (const auto strategy : {PartitionStrategy::kLevelWindows,
-                              PartitionStrategy::kOutputCones}) {
-    PartitionParams params;
-    params.strategy = strategy;
-    params.max_gates = 1;
-    const PartitionSet parts = partition_network(net, params);
-    const Network back = reassemble(net, parts);
-    EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
-    EXPECT_EQ(back.po_name(0), "const1");
-  }
+  PartitionParams params;
+  params.max_gates = 1;
+  const PartitionSet parts = partition_network(net, params);
+  const Network back = reassemble(net, parts);
+  EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
+  EXPECT_EQ(back.po_name(0), "const1");
 }
 
 TEST(Partition, KeepChoicesCarriesClassesIntoShards) {
@@ -174,51 +138,43 @@ TEST(Partition, KeepChoicesCarriesClassesIntoShards) {
   const Network choices = build_mch(net, mch);
   ASSERT_GT(choices.num_choices(), 0u);
 
-  for (const auto strategy : {PartitionStrategy::kLevelWindows,
-                              PartitionStrategy::kOutputCones}) {
-    PartitionParams params;
-    params.strategy = strategy;
-    params.max_gates = 80;
-    params.keep_choices = true;
-    const PartitionSet parts = partition_network(choices, params);
-    std::size_t shard_choices = 0;
-    for (const auto& p : parts.parts) shard_choices += p.net.num_choices();
-    EXPECT_GT(shard_choices, 0u);
+  PartitionParams params;
+  params.max_gates = 80;
+  params.keep_choices = true;
+  const PartitionSet parts = partition_network(choices, params);
+  std::size_t shard_choices = 0;
+  for (const auto& p : parts.parts) shard_choices += p.net.num_choices();
+  EXPECT_GT(shard_choices, 0u);
 
-    const Network back = reassemble(choices, parts, {.keep_choices = true});
-    EXPECT_GT(back.num_choices(), 0u);
-    EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
-  }
+  const Network back = reassemble(choices, parts, {.keep_choices = true});
+  EXPECT_GT(back.num_choices(), 0u);
+  EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
 }
 
 TEST(Partition, ParallelShardConstructionIsBitIdentical) {
   // The shard-construction fan-out (and the parallel reassemble pre-pass)
-  // must produce exactly the serial result, for both strategies.
+  // must produce exactly the serial result.
   const Network net = expand_to_aig(circuits::multiplier(8));
-  for (const auto strategy : {PartitionStrategy::kLevelWindows,
-                              PartitionStrategy::kOutputCones}) {
-    PartitionParams serial;
-    serial.strategy = strategy;
-    serial.max_gates = 150;
-    serial.num_threads = 1;
-    PartitionParams parallel = serial;
-    parallel.num_threads = 4;
+  PartitionParams serial;
+  serial.max_gates = 150;
+  serial.num_threads = 1;
+  PartitionParams parallel = serial;
+  parallel.num_threads = 4;
 
-    const PartitionSet ps = partition_network(net, serial);
-    const PartitionSet pp = partition_network(net, parallel);
-    ASSERT_EQ(ps.parts.size(), pp.parts.size());
-    for (std::size_t i = 0; i < ps.parts.size(); ++i) {
-      EXPECT_EQ(ps.parts[i].inputs, pp.parts[i].inputs) << "shard " << i;
-      EXPECT_EQ(ps.parts[i].outputs, pp.parts[i].outputs) << "shard " << i;
-      EXPECT_TRUE(structurally_identical(ps.parts[i].net, pp.parts[i].net))
-          << "shard " << i;
-    }
-
-    const Network rs = reassemble(net, ps, {.num_threads = 1});
-    const Network rp = reassemble(net, ps, {.num_threads = 4});
-    EXPECT_TRUE(structurally_identical(rs, rp));
-    EXPECT_EQ(check_equivalence(net, rs), CecResult::kEquivalent);
+  const PartitionSet ps = partition_network(net, serial);
+  const PartitionSet pp = partition_network(net, parallel);
+  ASSERT_EQ(ps.parts.size(), pp.parts.size());
+  for (std::size_t i = 0; i < ps.parts.size(); ++i) {
+    EXPECT_EQ(ps.parts[i].inputs, pp.parts[i].inputs) << "shard " << i;
+    EXPECT_EQ(ps.parts[i].outputs, pp.parts[i].outputs) << "shard " << i;
+    EXPECT_TRUE(structurally_identical(ps.parts[i].net, pp.parts[i].net))
+        << "shard " << i;
   }
+
+  const Network rs = reassemble(net, ps, {.num_threads = 1});
+  const Network rp = reassemble(net, ps, {.num_threads = 4});
+  EXPECT_TRUE(structurally_identical(rs, rp));
+  EXPECT_EQ(check_equivalence(net, rs), CecResult::kEquivalent);
 }
 
 // --- parallel drivers -----------------------------------------------------
@@ -311,17 +267,26 @@ TEST(ParEngine, ParMapLutMatchesParRunLutAndIsDeterministic) {
   EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
 }
 
-TEST(ParEngine, ParMapLutStrashesDuplicatedConeLogic) {
-  // Cone shards of a multiplier duplicate most of the array; the stitch's
-  // LUT-level strashing must fold identical sub-mappings back and the
-  // result must stay functionally correct.
-  const Network net = circuits::multiplier(8);
-  ParParams cones;
-  cones.num_threads = 1;
-  cones.partition.strategy = PartitionStrategy::kOutputCones;
-  cones.partition.max_gates = 150;
+TEST(ParEngine, ParMapLutStrashesConstantOutputs) {
+  // The stitch structurally hashes LUTs on (function, inputs): every
+  // constant PO must share one 0-input LUT, and the stitched mapping of a
+  // multi-shard network must stay functionally correct.
+  Network net = circuits::adder(32);
+  net.create_po(net.constant(false), "zero");
+  net.create_po(net.constant(true), "one");
+  ParParams params;
+  params.num_threads = 1;
+  params.partition.max_gates = 40;
+  ParStats stats;
   const LutNetwork lc = par_run_lut(
-      net, [](const Network& shard) { return lut_map(shard); }, cones);
+      net, [](const Network& shard) { return lut_map(shard); }, params,
+      &stats);
+  EXPECT_GT(stats.num_partitions, 1u);
+  std::size_t constant_luts = 0;
+  for (const LutNetwork::Lut& lut : lc.luts) {
+    if (lut.inputs.empty()) ++constant_luts;
+  }
+  EXPECT_EQ(constant_luts, 1u);
   const Network back = lut_network_to_network(lc);
   EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
 }
@@ -358,8 +323,8 @@ TEST(ParEngine, FullParallelFlowOnChoiceNetwork) {
 }
 
 TEST(ParEngine, FullParallelFlowOnMultiplier) {
-  // The structure that defeats cone partitioning: global sharing.  The
-  // window strategy keeps it tractable end to end.
+  // Global sharing: each high output cone covers almost the whole array.
+  // Level windows never duplicate it, which keeps the flow tractable.
   const flow::FlowContext ctx = run_par(
       expand_to_aig(circuits::multiplier(8)), kParPaperFlow, 2, 200);
   EXPECT_EQ(ctx.history.back().note, "equivalent (LUT network)");
