@@ -27,6 +27,18 @@ submit=$build_dir/tools/mcs_submit
   exit 1
 }
 
+# Numeric flags parse strictly: a unit suffix, a negative value or junk is a
+# usage error (exit 1), never a silently truncated or wrapped limit.
+for bad in "--max-input-bytes 16M" "--max-jobs -1" "--slots junk"; do
+  rc=0
+  # shellcheck disable=SC2086  # $bad is a flag and its value
+  "$server" --pipe $bad < /dev/null > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 1 ]; then
+    echo "server_smoke: FAIL: mcs_server --pipe $bad exited $rc, not 1" >&2
+    exit 1
+  fi
+done
+
 work=$(mktemp -d)
 trap 'kill "$server_pid" 2>/dev/null || true; rm -rf "$work"' EXIT
 

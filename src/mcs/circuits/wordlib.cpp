@@ -143,9 +143,6 @@ Word shift_impl(Network& net, Word w, const Word& amount, bool left,
 Word shift_left(Network& net, const Word& a, const Word& amount) {
   return shift_impl(net, a, amount, /*left=*/true, /*rotate=*/false);
 }
-Word shift_right(Network& net, const Word& a, const Word& amount) {
-  return shift_impl(net, a, amount, /*left=*/false, /*rotate=*/false);
-}
 Word rotate_left(Network& net, const Word& a, const Word& amount) {
   return shift_impl(net, a, amount, /*left=*/true, /*rotate=*/true);
 }

@@ -53,10 +53,9 @@ Word sub(Network& net, const Word& a, const Word& b,
 /// Unsigned comparison a < b.
 Signal less_than(Network& net, const Word& a, const Word& b);
 
-/// Logical shifts by a variable amount (barrel structure, one mux stage per
-/// amount bit).  Shifted-out positions fill with zero.
+/// Logical left shift by a variable amount (barrel structure, one mux stage
+/// per amount bit).  Shifted-out positions fill with zero.
 Word shift_left(Network& net, const Word& a, const Word& amount);
-Word shift_right(Network& net, const Word& a, const Word& amount);
 /// Rotations by a variable amount.  rotate_left moves bit j to j+k
 /// (result[i] = a[i-k mod n]); rotate_right is the inverse.
 Word rotate_left(Network& net, const Word& a, const Word& amount);

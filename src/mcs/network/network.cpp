@@ -207,18 +207,6 @@ bool Network::is_aig() const noexcept {
          num_gates_of(GateType::kXor3) == 0;
 }
 
-bool Network::is_xag() const noexcept {
-  return num_gates_of(GateType::kMaj3) == 0 &&
-         num_gates_of(GateType::kXor3) == 0;
-}
-
-bool Network::is_mig() const noexcept {
-  return num_gates_of(GateType::kXor2) == 0 &&
-         num_gates_of(GateType::kXor3) == 0;
-}
-
-bool Network::is_xmg() const noexcept { return true; }
-
 void Network::add_choice(NodeId repr, NodeId member, bool phase) {
   assert(repr != member);
   assert(is_repr(repr));

@@ -343,9 +343,6 @@ class Network {
   /// @{
 
   bool is_aig() const noexcept;   ///< only AND2 gates
-  bool is_xag() const noexcept;   ///< AND2/XOR2 gates
-  bool is_mig() const noexcept;   ///< AND2/MAJ3 gates
-  bool is_xmg() const noexcept;   ///< any of the four gate types (always true)
 
   /// @}
   /// \name Choice classes

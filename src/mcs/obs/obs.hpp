@@ -18,15 +18,15 @@
 ///     job-scoped accumulator.  While a thread holds an `obs::Scope` every
 ///     counter/histogram increment is recorded twice -- in the process-wide
 ///     registry as before, and in the active domain.  The thread pool
-///     inherits the submitting thread's domain into its tasks, so a flow
+///     inherits the submitting thread's domain into its batches, so a flow
 ///     running on N workers still attributes all of its work to its own
 ///     domain even when jobs share the pool.  Domain increments accumulate
 ///     in a thread-local scratch block and are folded into the domain's
-///     shared cells only at scope transitions (task boundaries), preserving
+///     shared cells only at scope transitions (batch boundaries), preserving
 ///     the write-exclusive hot path.  A scope also meters thread CPU time
 ///     (CLOCK_THREAD_CPUTIME_ID) into its domain, switching attribution on
-///     every scope transition so stolen cross-job tasks charge the right
-///     owner.
+///     every scope transition so a worker that serves batches of several
+///     jobs charges each its own share.
 ///   - **Tracing**: RAII scoped spans (`obs::Span`) with nesting depth and
 ///     thread attribution, buffered per thread and exportable as Chrome
 ///     `chrome://tracing` / Perfetto `trace_events` JSON, so one `run_flow`
@@ -214,8 +214,10 @@ std::uint64_t now_us() noexcept;
 /// scope transitions (a relaxed fetch_add per touched slot), so domains add
 /// no contention to hot paths even when many pool workers share one.
 ///
-/// Lifetime: a domain must outlive every task that inherited it through the
-/// thread pool (the flow layer keeps it on the FlowContext, which outlives
+/// Lifetime: a domain must outlive every ThreadPool::submit_bulk call made
+/// while it is installed; the call returns only after every worker that
+/// joined the batch has flushed into the domain, so the domain may be freed
+/// right after (the flow layer keeps it on the FlowContext, which outlives
 /// the flow run).
 class Domain {
  public:
@@ -287,7 +289,7 @@ class Scope {
   }
 
   /// The calling thread's active domain (null when detached).  The thread
-  /// pool captures this at submit time to inherit attribution into tasks.
+  /// pool captures this at submit time to inherit attribution into batches.
   static Domain* current() noexcept { return detail::domain_state().current; }
 
  private:

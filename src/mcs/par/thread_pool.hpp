@@ -1,38 +1,27 @@
 /// \file thread_pool.hpp
-/// \brief A persistent work-stealing worker pool with batched fan-out.
+/// \brief A persistent worker pool that runs indexed batches.
 ///
 /// This is the execution substrate of the `mcs::par` subsystem and of every
 /// other parallel phase in the library (partitioning, reassembly, simulation,
-/// CEC).  Two submission paths are provided:
+/// sweeping, CEC).  submit_bulk() is its one entry point: one batch object,
+/// on the caller's stack, fans N indexed calls out to the workers *and the
+/// calling thread*; indices are claimed through an atomic cursor, optionally
+/// through a caller-given claim order (the shard drivers pass
+/// largest-shard-first).  No per-call std::function allocation happens.
 ///
-///   - submit(): one task, one future.  Tasks submitted from inside a worker
-///     land on that worker's own deque (LIFO for locality) and may be stolen
-///     FIFO by idle workers; external submissions go through a shared
-///     injector queue.  This is the general path for irregular task graphs
-///     and nested submission.  From inside a submit_bulk() batch task the
-///     submission executes inline (future ready on return): queueing there
-///     and blocking on the future would deadlock, since every participant
-///     drains deques only after the batch completes.
-///   - submit_bulk(): the hot path of the shard drivers.  One batch object
-///     (a single allocation, shared by all participants) fans N indexed
-///     calls out to the workers *and the calling thread*; indices are
-///     claimed through an atomic cursor, optionally through a caller-given
-///     claim order (the shard drivers pass largest-shard-first).  No
-///     per-task std::function / packaged_task allocation happens.
-///
-/// Determinism contract: neither path influences *what* is computed -- only
-/// wall-clock time.  submit_bulk() writes results wherever fn(i) writes them
-/// (indexed slots), and when tasks throw, the exception of the smallest
+/// Determinism contract: scheduling never influences *what* is computed --
+/// only wall-clock time.  submit_bulk() writes results wherever fn(i) writes
+/// them (indexed slots), and when calls throw, the exception of the smallest
 /// failing index is rethrown, regardless of completion order or thread
 /// count.
 ///
 /// ThreadPool::global() is the process-wide persistent pool: constructed on
-/// first use, sized by resolve_threads(0), grown on demand (ensure_workers)
-/// when a caller asks for more parallelism than the hardware default --
-/// spawning a worker costs ~50us once, versus a pool construction per
-/// par_run call in the old design.  resolve_threads() honors the
-/// MCS_THREADS environment variable, so benches, tests and the shell pick
-/// up a thread count without per-command flags.
+/// first use, sized by resolve_threads(0), grown on demand when a batch asks
+/// for more parallelism than the hardware default -- spawning a worker costs
+/// ~50us once, versus a pool construction per par_run call in the old
+/// design.  resolve_threads() honors the MCS_THREADS environment variable,
+/// so benches, tests and the shell pick up a thread count without
+/// per-command flags.
 
 #pragma once
 
@@ -40,14 +29,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
+#include <exception>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 namespace mcs {
@@ -61,7 +46,7 @@ class ThreadPool {
   /// Spawns \p num_threads workers; 0 means resolve_threads(0) workers.
   explicit ThreadPool(std::size_t num_threads = 0);
 
-  /// Drains the queues (pending tasks still run) and joins the workers.
+  /// Joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -70,35 +55,14 @@ class ThreadPool {
   /// The process-wide persistent pool (constructed on first use).
   static ThreadPool& global();
 
-  std::size_t num_threads() const;
-
-  /// Grows the pool to at least \p n workers (capped at kMaxWorkers).
-  /// Existing workers are never removed.
-  void ensure_workers(std::size_t n);
-
-  /// Number of submit() tasks submitted and not yet finished.
-  std::size_t pending() const;
-
-  /// Enqueues \p fn and returns a future for its result.  Exceptions thrown
-  /// by the task are captured in the future.  Safe to call from inside a
-  /// worker (the task lands on the worker's own deque) -- but a task must
-  /// not *block* on a nested future unless another worker is free to steal
-  /// it: the nested task only runs after the current one returns (or via a
-  /// steal), so waiting on it from a fully-busy pool deadlocks.  Fan-out
-  /// from inside tasks belongs to submit_bulk(), which runs nested calls
-  /// inline.
-  template <typename Fn>
-  auto submit(Fn&& fn) -> std::future<std::invoke_result_t<Fn>> {
-    using Result = std::invoke_result_t<Fn>;
-    auto task = std::make_shared<std::packaged_task<Result()>>(
-        std::forward<Fn>(fn));
-    std::future<Result> future = task->get_future();
-    push_task([task]() { (*task)(); });
-    return future;
-  }
-
   /// Runs fn(i) for every i in [0, n), on up to \p max_workers participants
-  /// *including the calling thread*, and blocks until all n calls finished.
+  /// *including the calling thread*, growing the pool (up to kMaxWorkers)
+  /// when it has fewer workers than the batch can use.
+  ///
+  /// Returns only after every call has finished *and* every worker that
+  /// joined the batch has left it, so nothing the batch touched -- fn, the
+  /// order array, the caller's obs::Domain, which each worker's metric scope
+  /// flushes into on the way out -- is used after the return.
   ///
   /// \p order, when non-null, is a permutation of [0, n): indices are
   /// *claimed* in that order (the shard drivers pass largest-first so a big
@@ -113,9 +77,6 @@ class ThreadPool {
   void submit_bulk(std::size_t n, const std::function<void(std::size_t)>& fn,
                    std::size_t max_workers,
                    const std::uint32_t* order = nullptr);
-
-  /// Blocks until every submit() task has finished.
-  void wait_idle();
 
   /// Resolves a user-facing thread-count request: values >= 1 are taken
   /// verbatim; values < 1 mean "use the process default" -- the MCS_THREADS
@@ -136,15 +97,8 @@ class ThreadPool {
   static constexpr std::size_t kMaxWorkers = 64;
 
  private:
-  struct Worker {
-    std::mutex mutex;
-    std::deque<std::function<void()>> deque;
-    std::thread thread;
-  };
-
-  /// One submit_bulk() fan-out.  Shared (by shared_ptr) between the caller
-  /// and every participating worker so the object outlives stragglers that
-  /// are between claiming and finishing when the caller returns.
+  /// One submit_bulk() fan-out.  Lives on the submitter's stack: the
+  /// submitter waits for every joined worker to leave before returning.
   struct Batch {
     const std::function<void(std::size_t)>* fn = nullptr;
     const std::uint32_t* order = nullptr;  ///< nullptr = identity
@@ -153,34 +107,23 @@ class ThreadPool {
     /// attributed to the submitting job (null = detached).
     obs::Domain* domain = nullptr;
     std::size_t n = 0;
-    std::atomic<std::size_t> next{0};   ///< claim cursor into [0, n)
-    std::atomic<std::size_t> done{0};   ///< completed calls
-    std::atomic<int> slots{0};          ///< workers still allowed to join
-    std::mutex mutex;                   ///< guards err_* and cv
-    std::condition_variable cv;         ///< caller waits for done == n
-    std::size_t err_index = ~std::size_t{0};
-    std::exception_ptr err;
+    std::atomic<std::size_t> next{0};  ///< claim cursor into [0, n)
+    int slots = 0;   ///< workers still allowed to join (guarded by mutex_)
+    int joined = 0;  ///< workers inside participate() (guarded by mutex_)
+    std::size_t err_index = ~std::size_t{0};  ///< guarded by mutex_
+    std::exception_ptr err;                   ///< guarded by mutex_
   };
 
-  void push_task(std::function<void()> fn);
-  bool try_run_one_task(std::size_t self);  ///< own deque, injector, steal
-  void participate(const std::shared_ptr<Batch>& batch);
+  void participate(Batch& batch);
   void worker_loop(std::size_t index);
   void spawn_workers_locked(std::size_t target);
 
-  mutable std::mutex mutex_;  ///< guards workers_ vector, injector_, batch_
-  std::condition_variable wake_;
-  std::condition_variable idle_;
-  std::deque<std::function<void()>> injector_;
-  std::vector<std::unique_ptr<Worker>> workers_;
-  /// workers_.size() for lock-free readers (the steal loop); workers_ is
-  /// reserved to kMaxWorkers up front, so elements never move and indices
-  /// below this count are always valid.
-  std::atomic<std::size_t> num_workers_{0};
-  std::shared_ptr<Batch> batch_;          ///< active submit_bulk, if any
-  std::atomic<std::size_t> ready_{0};     ///< queued submit() tasks
-  std::size_t unfinished_ = 0;            ///< submit() tasks not yet done
+  std::mutex mutex_;  ///< guards batch_, stop_, workers_ and Batch fields
+  std::condition_variable wake_;  ///< workers wait for a batch or stop_
+  std::condition_variable left_;  ///< submitter waits for joined == 0
+  Batch* batch_ = nullptr;  ///< active submit_bulk open to joiners, if any
   bool stop_ = false;
+  std::vector<std::thread> workers_;  ///< last: the threads use the above
 };
 
 }  // namespace mcs

@@ -19,7 +19,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -358,7 +358,6 @@ TEST_F(ObsTracing, PoolWorkersAppearInTrace) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       },
       2);
-  pool.wait_idle();
 
   const std::string json = obs::trace_json();
   ASSERT_TRUE(JsonValidator::valid(json)) << json;
@@ -579,34 +578,42 @@ TEST(ObsDomains, HistogramsAttributeToDomains) {
 
 TEST(ObsDomains, PoolTasksInheritSubmitterDomain) {
   // The serving-stack contract: work fanned out through the pool is
-  // attributed to the domain that was active at submit time, across both
-  // submission paths.
+  // attributed to the domain that was active at submit time, and all of it
+  // has landed there by the time submit_bulk returns -- the pool stays
+  // alive, so no worker teardown can be what flushes it.
   obs::Counter& c = obs::counter("test.domain.pool");
-  constexpr std::size_t kItems = 1000;
-  obs::Domain bulk_domain;
-  obs::Domain submit_domain;
-  {
-    ThreadPool pool(4);
+  constexpr std::int64_t kItems = 1000;
+  ThreadPool pool(4);
+  obs::Domain d;
+  for (std::int64_t round = 1; round <= 20; ++round) {
     {
-      obs::Scope scope(&bulk_domain);
+      obs::Scope scope(&d);
       pool.submit_bulk(
-          kItems, [&](std::size_t) { c.increment(); }, pool.num_threads());
+          kItems, [&](std::size_t) { c.increment(); }, 4);
     }
+    ASSERT_EQ(metric_value(d.snapshot().counters, "test.domain.pool"),
+              round * kItems)
+        << "round " << round;
+  }
+}
+
+TEST(ObsDomains, DomainMayDieAsSoonAsSubmitBulkReturns) {
+  // A job frees its domain right after its last fan-out.  submit_bulk must
+  // not return before every worker that joined the batch has closed its
+  // scope, which flushes into the domain; otherwise a late flush writes
+  // into freed memory (ASan: heap-use-after-free, TSan: a race with the
+  // delete).  Many short rounds make that window likely to be hit.
+  obs::Counter& c = obs::counter("test.domain.lifetime");
+  ThreadPool pool(4);
+  for (int round = 0; round < 50000; ++round) {
+    auto d = std::make_unique<obs::Domain>();
     {
-      obs::Scope scope(&submit_domain);
-      std::vector<std::future<void>> futures;
-      for (int i = 0; i < 32; ++i) {
-        futures.push_back(pool.submit([&] { c.add(2); }));
-      }
-      for (std::future<void>& f : futures) f.get();
+      obs::Scope scope(d.get());
+      pool.submit_bulk(
+          8, [&](std::size_t) { c.increment(); }, 4);
     }
-    pool.wait_idle();
-  }  // pool join: every worker flushed its task scopes
-  EXPECT_EQ(metric_value(bulk_domain.snapshot().counters, "test.domain.pool"),
-            static_cast<std::int64_t>(kItems));
-  EXPECT_EQ(
-      metric_value(submit_domain.snapshot().counters, "test.domain.pool"),
-      64);
+    d.reset();
+  }
 }
 
 TEST(ObsDomains, ConcurrentDomainsStayExact) {

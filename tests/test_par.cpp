@@ -1,4 +1,4 @@
-/// Unit tests for the mcs::par subsystem: thread pool semantics, level-window
+/// Unit tests for the mcs::par subsystem: thread-count resolution, level-window
 /// partition + reassemble round trips (CEC-equivalent to the original),
 /// choice preservation across sharding, the LUT stitch's strashing, the
 /// `par:` flow stages over transforms, choice builders and LUT mapping, and
@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,29 +27,6 @@ namespace mcs {
 namespace {
 
 // --- thread pool ----------------------------------------------------------
-
-TEST(ThreadPool, RunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4u);
-  std::atomic<int> sum{0};
-  std::vector<std::future<int>> futs;
-  for (int i = 0; i < 100; ++i) {
-    futs.push_back(pool.submit([i, &sum]() {
-      sum.fetch_add(1);
-      return i * i;
-    }));
-  }
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(futs[i].get(), i * i);
-  EXPECT_EQ(sum.load(), 100);
-  pool.wait_idle();
-  EXPECT_EQ(pool.pending(), 0u);
-}
-
-TEST(ThreadPool, PropagatesExceptionsThroughFutures) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
-}
 
 TEST(ThreadPool, ResolveThreads) {
   EXPECT_EQ(ThreadPool::resolve_threads(3), 3u);

@@ -1,6 +1,6 @@
-/// Unit tests for the end-to-end parallel scaling work: the work-stealing
-/// thread pool (nested submit, batched fan-out, claim orders, exception
-/// determinism, MCS_THREADS), level-blocked parallel random simulation and
+/// Unit tests for the end-to-end parallel scaling work: the thread pool
+/// (batched fan-out, claim orders, exception determinism, nested batches,
+/// growth, MCS_THREADS), level-blocked parallel random simulation and
 /// the per-PO-batched parallel CEC -- each with the 1-vs-N bit-identity
 /// contract -- plus cost-ordered shard scheduling determinism on shards of
 /// shuffled sizes.
@@ -9,10 +9,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "mcs/circuits/circuits.hpp"
@@ -29,38 +35,6 @@ namespace mcs {
 namespace {
 
 // --- thread pool ------------------------------------------------------------
-
-TEST(ThreadPoolStress, ManyTinyTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> sum{0};
-  std::vector<std::future<void>> futs;
-  futs.reserve(5000);
-  for (int i = 0; i < 5000; ++i) {
-    futs.push_back(pool.submit([&sum]() { sum.fetch_add(1); }));
-  }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(sum.load(), 5000);
-  pool.wait_idle();
-  EXPECT_EQ(pool.pending(), 0u);
-}
-
-TEST(ThreadPoolStress, NestedSubmitFromWorkers) {
-  // Tasks submitted from inside a worker land on that worker's own deque
-  // and may be stolen; every nested task must still run exactly once.
-  ThreadPool pool(4);
-  std::atomic<int> outer{0};
-  std::atomic<int> inner{0};
-  std::vector<std::future<std::future<void>>> futs;
-  for (int i = 0; i < 200; ++i) {
-    futs.push_back(pool.submit([&]() {
-      outer.fetch_add(1);
-      return pool.submit([&]() { inner.fetch_add(1); });
-    }));
-  }
-  for (auto& f : futs) f.get().get();
-  EXPECT_EQ(outer.load(), 200);
-  EXPECT_EQ(inner.load(), 200);
-}
 
 TEST(ThreadPoolBulk, RunsEveryIndexOnceForAnyOrderAndWorkerCount) {
   ThreadPool pool(4);
@@ -128,17 +102,29 @@ TEST(ThreadPoolBulk, NestedBulkRunsInline) {
   EXPECT_EQ(sum.load(), 32);
 }
 
-TEST(ThreadPool, EnsureWorkersGrows) {
+TEST(ThreadPool, SubmitBulkGrowsThePool) {
+  // A 1-worker pool asked for 3 participants spawns a second worker.  Each
+  // thread's first item waits (bounded) until three distinct threads are
+  // inside the batch, which only a grown pool can reach.
   ThreadPool pool(1);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  pool.ensure_workers(3);
-  EXPECT_EQ(pool.num_threads(), 3u);
-  pool.ensure_workers(2);  // never shrinks
-  EXPECT_EQ(pool.num_threads(), 3u);
-  std::atomic<int> sum{0};
+  constexpr std::size_t kN = 100;
+  std::vector<int> hits(kN, 0);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> seen;
   pool.submit_bulk(
-      100, [&](std::size_t) { sum.fetch_add(1); }, 3);
-  EXPECT_EQ(sum.load(), 100);
+      kN,
+      [&](std::size_t i) {
+        ++hits[i];
+        std::unique_lock<std::mutex> lock(mu);
+        if (!seen.insert(std::this_thread::get_id()).second) return;
+        cv.notify_all();
+        cv.wait_for(lock, std::chrono::seconds(10),
+                    [&]() { return seen.size() >= 3; });
+      },
+      3);
+  EXPECT_EQ(seen.size(), 3u);
+  for (std::size_t i = 0; i < kN; ++i) ASSERT_EQ(hits[i], 1) << "index " << i;
 }
 
 TEST(ThreadPool, McsThreadsEnvironmentVariable) {
@@ -162,9 +148,17 @@ TEST(ThreadPool, McsThreadsEnvironmentVariable) {
   EXPECT_EQ(ThreadPool::resolve_threads(0), 3u)
       << "cached default must ignore env changes after first resolution";
 
-  ASSERT_EQ(::setenv("MCS_THREADS", "junk", 1), 0);
-  ThreadPool::refresh_thread_default();
-  EXPECT_GE(ThreadPool::resolve_threads(0), 1u) << "junk falls back to hw";
+  // Anything but a whole number falls back to the hardware default.  The
+  // last token differs from that default in its leading digits, so a
+  // prefix parse cannot pass for the fallback.
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  for (const std::string& junk :
+       {std::string("junk"), std::string("4junk"),
+        std::to_string(hw + 1) + "junk"}) {
+    ASSERT_EQ(::setenv("MCS_THREADS", junk.c_str(), 1), 0);
+    ThreadPool::refresh_thread_default();
+    EXPECT_EQ(ThreadPool::resolve_threads(0), hw) << junk;
+  }
   ASSERT_EQ(::unsetenv("MCS_THREADS"), 0);
   ThreadPool::refresh_thread_default();
   EXPECT_GE(ThreadPool::resolve_threads(0), 1u);

@@ -38,18 +38,21 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "mcs/fail/fail.hpp"
+#include "mcs/flow/flow.hpp"
 #include "mcs/server/protocol.hpp"
 #include "mcs/server/server.hpp"
 
@@ -471,6 +474,21 @@ int main(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // A numeric flag's value is a whole number in [0, max]; anything else
+  // ("16M", "-1", "junk") is a usage error, never a silently wrapped limit.
+  auto need_count = [&](int& i, long long max = LLONG_MAX) -> long long {
+    const char* flag = argv[i];
+    const char* text = need_value(i);
+    const std::optional<long long> v = mcs::flow::parse_int(text);
+    if (!v || *v < 0 || *v > max) {
+      std::fprintf(stderr, "mcs_server: %s expects a non-negative integer",
+                   flag);
+      if (max != LLONG_MAX) std::fprintf(stderr, " up to %lld", max);
+      std::fprintf(stderr, ", got '%s'\n", text);
+      std::exit(1);
+    }
+    return *v;
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -481,25 +499,23 @@ int main(int argc, char** argv) {
       unix_path = need_value(i);
     } else if (arg == "--tcp") {
       mode = Mode::kTcp;
-      tcp_port = std::atoi(need_value(i));
+      tcp_port = static_cast<int>(need_count(i, 65535));
     } else if (arg == "--slots") {
-      options.job_slots = std::atoi(need_value(i));
+      options.job_slots = static_cast<int>(need_count(i, INT_MAX));
     } else if (arg == "--threads-per-job") {
-      options.threads_per_job = std::atoi(need_value(i));
+      options.threads_per_job = static_cast<int>(need_count(i, INT_MAX));
     } else if (arg == "--timeout-ms") {
-      options.default_timeout_ms = std::atoll(need_value(i));
+      options.default_timeout_ms = need_count(i);
     } else if (arg == "--max-jobs") {
-      options.max_jobs_in_flight =
-          static_cast<std::size_t>(std::atoll(need_value(i)));
+      options.max_jobs_in_flight = static_cast<std::size_t>(need_count(i));
     } else if (arg == "--no-stream") {
       options.stream_stages = false;
     } else if (arg == "--journal") {
       options.journal_path = need_value(i);
     } else if (arg == "--journal-max-bytes") {
-      options.journal_max_bytes =
-          static_cast<std::size_t>(std::atoll(need_value(i)));
+      options.journal_max_bytes = static_cast<std::size_t>(need_count(i));
     } else if (arg == "--done-cache") {
-      options.done_cache = static_cast<std::size_t>(std::atoll(need_value(i)));
+      options.done_cache = static_cast<std::size_t>(need_count(i));
     } else if (arg == "--ckpt-dir") {
       options.ckpt_dir = need_value(i);
     } else if (arg == "--no-stage-ckpt") {
@@ -509,24 +525,20 @@ int main(int argc, char** argv) {
     } else if (arg == "--pidfile") {
       sup.pidfile = need_value(i);
     } else if (arg == "--max-restarts") {
-      sup.max_restarts = std::atoi(need_value(i));
+      sup.max_restarts = static_cast<int>(need_count(i, INT_MAX));
     } else if (arg == "--backoff-ms") {
-      sup.backoff_ms = std::atol(need_value(i));
+      sup.backoff_ms = static_cast<long>(need_count(i, LONG_MAX));
     } else if (arg == "--max-input-bytes") {
-      options.max_input_bytes =
-          static_cast<std::size_t>(std::atoll(need_value(i)));
+      options.max_input_bytes = static_cast<std::size_t>(need_count(i));
     } else if (arg == "--max-jobs-per-client") {
-      options.max_jobs_per_client =
-          static_cast<std::size_t>(std::atoll(need_value(i)));
+      options.max_jobs_per_client = static_cast<std::size_t>(need_count(i));
     } else if (arg == "--max-memory-mb") {
-      options.max_memory_mb =
-          static_cast<std::size_t>(std::atoll(need_value(i)));
+      options.max_memory_mb = static_cast<std::size_t>(need_count(i));
     } else if (arg == "--telemetry-interval-ms") {
       options.telemetry_interval_ms =
-          static_cast<unsigned>(std::atoi(need_value(i)));
+          static_cast<unsigned>(need_count(i, UINT_MAX));
     } else if (arg == "--telemetry-ring") {
-      options.telemetry_ring =
-          static_cast<std::size_t>(std::atoll(need_value(i)));
+      options.telemetry_ring = static_cast<std::size_t>(need_count(i));
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;

@@ -44,17 +44,20 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "mcs/flow/flow.hpp"
 #include "mcs/server/json.hpp"
 #include "mcs/server/protocol.hpp"
 #include "transport.hpp"
@@ -322,6 +325,21 @@ int main(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // A numeric flag's value is a whole number in [0, max]; anything else
+  // ("5s", "-1", "junk") is a usage error, never a silent 0.
+  auto need_count = [&](int& i, long long max = LLONG_MAX) -> long long {
+    const char* flag = argv[i];
+    const char* text = need_value(i);
+    const std::optional<long long> v = mcs::flow::parse_int(text);
+    if (!v || *v < 0 || *v > max) {
+      std::fprintf(stderr, "mcs_submit: %s expects a non-negative integer",
+                   flag);
+      if (max != LLONG_MAX) std::fprintf(stderr, " up to %lld", max);
+      std::fprintf(stderr, ", got '%s'\n", text);
+      std::exit(1);
+    }
+    return *v;
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -336,21 +354,30 @@ int main(int argc, char** argv) {
     } else if (arg == "--format") {
       req.input_format = need_value(i);
     } else if (arg == "--timeout-ms") {
-      req.timeout_ms = std::atoll(need_value(i));
+      req.timeout_ms = need_count(i);
     } else if (arg == "--threads") {
-      req.threads = std::atoi(need_value(i));
+      req.threads = static_cast<int>(need_count(i, INT_MAX));
     } else if (arg == "--weight") {
-      req.weight = std::atof(need_value(i));
+      const char* text = need_value(i);
+      const std::optional<double> weight = mcs::flow::parse_double(text);
+      if (!weight || *weight < 0) {
+        std::fprintf(stderr,
+                     "mcs_submit: --weight expects a non-negative number, "
+                     "got '%s'\n",
+                     text);
+        return 1;
+      }
+      req.weight = *weight;
     } else if (arg == "--cancel-after-ms") {
-      cancel_after_ms = std::atoll(need_value(i));
+      cancel_after_ms = need_count(i);
     } else if (arg == "--emit") {
       req.emit = need_value(i);
     } else if (arg == "--artifact-out") {
       artifact_out = need_value(i);
     } else if (arg == "--retry") {
-      retries = std::atoi(need_value(i));
+      retries = static_cast<int>(need_count(i, INT_MAX));
     } else if (arg == "--retry-backoff-ms") {
-      retry_backoff_ms = std::atol(need_value(i));
+      retry_backoff_ms = static_cast<long>(need_count(i, LONG_MAX));
     } else if (arg == "--script") {
       script_path = need_value(i);
     } else if (arg == "--cancel") {

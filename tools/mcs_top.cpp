@@ -26,9 +26,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "mcs/flow/flow.hpp"
 #include "mcs/server/json.hpp"
 #include "mcs/server/protocol.hpp"
 #include "transport.hpp"
@@ -190,17 +192,31 @@ int main(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // A numeric flag's value is a whole non-negative number; anything else
+  // ("1s", "-1", "junk") is a usage error, never a silent 0.
+  auto need_count = [&](int& i) -> long long {
+    const char* flag = argv[i];
+    const char* text = need_value(i);
+    const std::optional<long long> v = mcs::flow::parse_int(text);
+    if (!v || *v < 0) {
+      std::fprintf(stderr,
+                   "mcs_top: %s expects a non-negative integer, got '%s'\n",
+                   flag, text);
+      std::exit(1);
+    }
+    return *v;
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--connect") {
       connect_to = need_value(i);
     } else if (arg == "--interval-ms") {
-      interval_ms = std::atol(need_value(i));
+      interval_ms = need_count(i);
     } else if (arg == "--once") {
       once = true;
     } else if (arg == "--frames") {
-      frames = std::atol(need_value(i));
+      frames = need_count(i);
     } else if (arg == "--help" || arg == "-h") {
       usage();
       return 0;
