@@ -21,7 +21,9 @@ namespace mcs {
 struct DchParams {
   int sim_words = 16;               ///< random words per node for signatures
   std::uint64_t sim_seed = 0x5eed;  ///< signature seed
-  std::int64_t conflict_limit = 300;  ///< SAT budget per candidate pair
+  /// SAT budget per candidate pair, as Solver::solve counts it: conflicts
+  /// since the last restart, so 300 allows up to 1,836 conflicts per pair.
+  std::int64_t conflict_limit = 300;
   std::size_t max_pairs = 1u << 20;   ///< overall pair budget
   /// Worker threads for the equivalence proofs (the mcs::sweep engine's
   /// parallel proof batches); values < 1 resolve through

@@ -192,7 +192,8 @@ void register_core_passes(PassRegistry& registry) {
 
   registry.add({
       .name = "cec",
-      .summary = "verify against the originally loaded network (sim + SAT)",
+      .summary =
+          "verify against the originally loaded network (sim + fraig + SAT)",
       .kind = PassKind::kAnalysis,
       .run =
           [](FlowContext& ctx, const PassArgs&) {

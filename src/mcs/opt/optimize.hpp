@@ -35,6 +35,8 @@ struct ResubParams {
   int max_window = 24;      ///< divisor candidates per node
   int sim_words = 16;
   std::uint64_t sim_seed = 0x0b5e55ed;
+  /// SAT budget per resubstitution check, as Solver::solve counts it:
+  /// conflicts since the last restart, so 300 allows up to 1,836.
   std::int64_t conflict_limit = 300;
   std::size_t solver_clause_budget = 60000;  ///< re-encode past this growth
   GateBasis basis = GateBasis::xmg();

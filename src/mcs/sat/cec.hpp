@@ -3,11 +3,15 @@
 ///
 /// Every experiment in the paper is formally verified; we provide the same
 /// guarantee with a two-stage check: word-parallel random simulation for
-/// fast falsification, then a SAT miter for proof.
+/// fast falsification, then a proof on one strashed miter network (shared
+/// PIs, both networks' POs) in the flow of Mishchenko et al., "Improvements
+/// to combinational equivalence checking" (ICCAD 2006): a bounded SAT solve
+/// of the open PO pairs, fraig passes with growing per-pair budgets that
+/// merge the pairs through their internal equivalences, then a SAT solve of
+/// the residual pairs.
 
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 #include "mcs/network/network.hpp"
@@ -19,34 +23,26 @@ enum class CecResult { kEquivalent, kNotEquivalent, kUnknown };
 struct CecOptions {
   int sim_words = 16;                  ///< random words per node in stage 1
   std::uint64_t sim_seed = 0xc0ffee;   ///< simulation seed
-  std::int64_t conflict_limit = -1;    ///< SAT budget; < 0 means unlimited
 
-  /// Worker threads for both stages; values < 1 resolve through
-  /// ThreadPool::resolve_threads (MCS_THREADS / hardware).  With more than
-  /// one thread the SAT stage solves per-PO-batch miters (cone-restricted
-  /// encodings, kPoBatch POs each, early exit once a counterexample is
-  /// found) instead of one monolithic miter.  The batch structure depends
-  /// only on the PO count -- never on the thread count -- and the verdict
-  /// merge is order-independent (any SAT batch => kNotEquivalent, else any
-  /// kUnknown => kUnknown), so with an unlimited conflict budget the
-  /// verdict is identical for every thread count.  Under a finite
-  /// conflict_limit the budget applies per batch, so the serial
-  /// single-miter path may return kUnknown where the batched path decides
-  /// (or vice versa).
+  /// Conflict budget of the whole proof stage; < 0 means unlimited, so the
+  /// check always decides.  Each SAT solve and fraig pass draws the
+  /// conflicts it actually spent from what is left; once the budget is
+  /// spent the check returns kUnknown.
+  std::int64_t conflict_limit = -1;
+
+  /// Worker threads for the simulation stage and the fraig passes; values
+  /// < 1 resolve through ThreadPool::resolve_threads (MCS_THREADS /
+  /// hardware).  The SAT solves are serial, and the fraig passes spend the
+  /// same conflicts for any thread count, so the verdict -- under any
+  /// conflict_limit -- never depends on the thread count.
   int num_threads = 1;
 };
 
-/// POs per parallel miter batch (see CecOptions::num_threads).
-inline constexpr std::size_t kCecPoBatch = 8;
-
 /// Checks combinational equivalence of two networks with identical PI/PO
-/// counts (POs are compared positionally).
+/// counts (POs are compared positionally).  kEquivalent means every PO
+/// pair merged through proven equivalences or the residual miter is UNSAT;
+/// kNotEquivalent comes only from simulation or a SAT model.
 CecResult check_equivalence(const Network& a, const Network& b,
                             const CecOptions& opts = {});
-
-/// Checks functional equality of two signals of the same network
-/// (used to validate choice classes).
-CecResult check_signals_equivalent(const Network& net, Signal x, Signal y,
-                                   const CecOptions& opts = {});
 
 }  // namespace mcs

@@ -34,15 +34,6 @@ class CnfMapping {
 /// as a variable forced to 0.
 void encode_network(const Network& net, Solver& solver, CnfMapping& mapping);
 
-/// Encodes only the transitive fanin cones of \p roots (fanin edges; choice
-/// lists are not followed).  Nodes already carrying a variable in
-/// \p mapping keep it (PI sharing for miters); cone nodes without one get
-/// fresh variables; the constant node is encoded iff some cone reaches it.
-/// This is what the per-PO-batch parallel miter uses: each batch pays for
-/// its own cone, not for the whole network.
-void encode_cone(const Network& net, const std::vector<Signal>& roots,
-                 Solver& solver, CnfMapping& mapping);
-
 /// Adds the clauses for a single gate given fanin literals.
 void encode_gate(Solver& solver, GateType type, Lit out, Lit a, Lit b, Lit c);
 

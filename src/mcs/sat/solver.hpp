@@ -51,7 +51,13 @@ class Solver {
   }
 
   /// Solves under the given assumptions.  \p conflict_limit < 0 means no
-  /// limit; when the limit is hit the result is kUnknown.
+  /// limit; when the limit is hit the result is kUnknown.  The limit counts
+  /// conflicts since the last restart, not since the call: the solver gives
+  /// up only inside the first Luby restart interval (64, 64, 128, 64, 64,
+  /// 128, 256, ... conflicts) at least \p conflict_limit long, so a limit
+  /// of 10 allows 10 conflicts, 100 allows 228, 300 allows 1,836, 500
+  /// allows 2,036 and 2,000 allows 12,240.  num_conflicts() tells what a
+  /// call really spent.
   Result solve(const std::vector<Lit>& assumptions = {},
                std::int64_t conflict_limit = -1);
 

@@ -29,8 +29,8 @@
 /// are independent solvers whose content depends only on the pair list,
 /// results are merged in member-id order, and counterexample patterns are
 /// harvested in that same order -- threads only change wall-clock time.
-/// This holds even under a finite conflict_limit (unlike parallel CEC,
-/// where the serial path solves a different, monolithic miter).
+/// This holds even under a finite conflict_limit, and so do the proof
+/// counts in FraigStats, conflicts included (summed per fixed batch).
 
 #pragma once
 
@@ -47,7 +47,9 @@ struct FraigParams {
   int num_threads = 1;
   int sim_words = 16;                  ///< random words seeding the classes
   std::uint64_t sim_seed = 0xdead5eed;
-  std::int64_t conflict_limit = 300;   ///< SAT budget per candidate pair
+  /// SAT budget per candidate pair, as Solver::solve counts it: conflicts
+  /// since the last restart, so 300 allows up to 1,836 conflicts per pair.
+  std::int64_t conflict_limit = 300;
   int max_rounds = 16;                 ///< simulate/prove/refine iterations
   std::size_t max_pairs = 1u << 20;    ///< overall proof budget
   /// Also sweep nodes whose simulated values are constant into the
@@ -67,6 +69,7 @@ struct FraigStats {
   std::size_t num_proven = 0;           ///< UNSAT: equality holds
   std::size_t num_disproven = 0;        ///< SAT: counterexample found
   std::size_t num_unknown = 0;          ///< conflict limit hit
+  std::int64_t num_conflicts = 0;       ///< solver conflicts, all batches
   std::size_t num_patterns_added = 0;   ///< cex words injected into the sim
   std::size_t num_threads = 0;
   std::size_t initial_gates = 0;

@@ -169,6 +169,7 @@ std::vector<ProvenEquiv> sweep_equivalences(const Network& net,
     const std::size_t num_batches =
         (pairs.size() + kPairBatch - 1) / kPairBatch;
     std::vector<PairResult> results(pairs.size());
+    std::vector<std::int64_t> batch_conflicts(num_batches, 0);
     static obs::Counter& sat_calls = obs::counter("sweep.sat_calls");
     static obs::Counter& conflicts = obs::counter("sweep.conflicts");
     static obs::Counter& cascades = obs::counter("sweep.cascade_asserts");
@@ -230,10 +231,12 @@ std::vector<ProvenEquiv> sweep_equivalences(const Network& net,
           }
           // Flushed once per batch (owner-thread cells; cheap but tidy).
           sat_calls.add(end - begin);
-          conflicts.add(static_cast<std::uint64_t>(miter.num_conflicts()));
+          batch_conflicts[b] = miter.num_conflicts();
+          conflicts.add(static_cast<std::uint64_t>(batch_conflicts[b]));
           cascades.add(num_cascades);
         },
         threads);
+    for (const std::int64_t c : batch_conflicts) stats.num_conflicts += c;
 
     // --- 3. deterministic merge + counterexample refinement --------------
     std::vector<const std::vector<std::uint8_t>*> cex_list;

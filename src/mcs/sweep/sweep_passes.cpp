@@ -28,7 +28,9 @@ void register_sweep_passes(PassRegistry& registry) {
                  {.key = "conflicts",
                   .type = ParamType::kInt,
                   .default_value = "300",
-                  .help = "SAT budget per candidate pair; -1 = unlimited"},
+                  .help = "SAT budget per candidate pair, counted since "
+                          "the solver's last restart (300 allows up to "
+                          "1836 conflicts); -1 = unlimited"},
                  {.key = "rounds",
                   .type = ParamType::kInt,
                   .default_value = "16",

@@ -1,7 +1,7 @@
 /// Unit tests for the end-to-end parallel scaling work: the thread pool
 /// (batched fan-out, claim orders, exception determinism, nested batches,
 /// growth, MCS_THREADS), level-blocked parallel random simulation and
-/// the per-PO-batched parallel CEC -- each with the 1-vs-N bit-identity
+/// CEC with its parallel fraig passes -- each with the 1-vs-N bit-identity
 /// contract -- plus cost-ordered shard scheduling determinism on shards of
 /// shuffled sizes.
 
@@ -257,16 +257,26 @@ TEST(ParallelSim, LazyRestridePreservesExistingWords) {
 // --- parallel CEC -----------------------------------------------------------
 
 TEST(ParallelCec, VerdictMatchesSerialOnEquivalentPair) {
-  // 33 POs -> several PO batches; optimized vs original is the realistic
-  // "structurally different but equivalent" shape.
+  // Optimized vs original is the realistic "structurally different but
+  // equivalent" shape.  Under every conflict budget the verdict is one
+  // function of the networks, whatever the thread count.
   const Network net = expand_to_aig(circuits::adder(32));
   const Network opt = compress2rs_like(net, GateBasis::xmg(), 1);
   ASSERT_FALSE(structurally_identical(net, opt));
-  for (const int threads : {1, 2, 4}) {
-    CecOptions opts;
-    opts.num_threads = threads;
-    EXPECT_EQ(check_equivalence(net, opt, opts), CecResult::kEquivalent)
-        << threads << " threads";
+  for (const std::int64_t budget : {0, 100, 1000, -1}) {
+    CecResult serial = CecResult::kNotEquivalent;
+    for (const int threads : {1, 2, 4}) {
+      CecOptions opts;
+      opts.num_threads = threads;
+      opts.conflict_limit = budget;
+      const CecResult r = check_equivalence(net, opt, opts);
+      if (threads == 1) serial = r;
+      EXPECT_EQ(r, serial) << threads << " threads, budget " << budget;
+      EXPECT_NE(r, CecResult::kNotEquivalent) << "budget " << budget;
+    }
+    if (budget < 0) {
+      EXPECT_EQ(serial, CecResult::kEquivalent);
+    }
   }
 }
 
@@ -302,13 +312,13 @@ TEST(ParallelCec, VerdictMatchesSerialOnBrokenPair) {
 TEST(ParallelCec, SatStageFindsDeepDisagreement) {
   // A mismatch random simulation is unlikely to hit: two networks that
   // agree except when all inputs are 1 (AND chain vs constant 0).  The
-  // miter batches must find it for any thread count.
+  // SAT stage must find it for any thread count.
   constexpr int kBits = 24;
   Network a;
   {
     Signal acc = a.constant(true);
     for (int i = 0; i < kBits; ++i) acc = a.create_and(acc, a.create_pi());
-    for (int i = 0; i < 9; ++i) a.create_po(acc);  // several batches
+    for (int i = 0; i < 9; ++i) a.create_po(acc);
   }
   Network b;
   {

@@ -182,7 +182,9 @@ TEST(Sweep, Mult64CecNotFalsified) {
   // 64-bit multiplier (~44k AIG gates).  Multiplier miters are SAT-hard,
   // so the formal stage runs under a conflict budget: the verdict must
   // never be NotEquivalent (kUnknown is an accepted resource-limit answer,
-  // and the 64-word random-simulation stage must already agree).
+  // and the 64-word random-simulation stage must already agree).  The
+  // budget covers the whole check, and the opening SAT solve spends it,
+  // so no fraig pass runs.
   const Network net = expand_to_aig(circuits::multiplier(64));
   FraigParams params;
   params.num_threads = 4;
@@ -191,7 +193,7 @@ TEST(Sweep, Mult64CecNotFalsified) {
   EXPECT_EQ(sim_falsify(net, result, 64, 0xf4a16, 4), -1);
   CecOptions copts;
   copts.num_threads = 4;
-  copts.conflict_limit = 500;  // per PO batch; every batch burns it fully
+  copts.conflict_limit = 500;
   EXPECT_NE(check_equivalence(net, result, copts), CecResult::kNotEquivalent);
 }
 
