@@ -1,6 +1,6 @@
 /// Microbenchmarks for the core kernels: structural hashing, cut
 /// enumeration, SAT sweeping, the partition-parallel drivers, CEC, random
-/// simulation, MCH construction and both mappers.
+/// simulation, MCH construction, NPN canonicalization and both mappers.
 ///
 /// Each mode runs a fixed set of hand-timed benches and appends one JSON
 /// object per line (see bench_util::JsonLine) to PATH:
@@ -34,6 +34,7 @@
 #include "mcs/sat/cec.hpp"
 #include "mcs/sim/simulator.hpp"
 #include "mcs/sweep/sweep.hpp"
+#include "mcs/tt/npn.hpp"
 
 namespace {
 
@@ -185,6 +186,40 @@ void run_kernel_suite(const char* path) {
     bench::JsonLine("mch_mult8", out)
         .field("seconds", s)
         .field("items_per_sec", static_cast<double>(net.num_gates()) / s);
+  }
+  {
+    // Large enough that the acyclicity guard's cost per attach shows: its
+    // work counters (searches, re-rankings) ride along in `metrics`.
+    const Network net = expand_to_aig(circuits::multiplier(32));
+    std::size_t choices = 0;
+    bench::MetricsWindow window;
+    const double s = best_of(2, [&] {
+      MchStats stats;
+      build_mch(net, {}, &stats);
+      choices = stats.num_choices_added;
+    });
+    bench::JsonLine("mch_mult32", out)
+        .field("seconds", s)
+        .field("choices", choices)
+        .field("items_per_sec", static_cast<double>(net.num_gates()) / s)
+        .object("metrics", window.delta_json());
+  }
+  {
+    // Every 4-input function, the space the NPN-4 caches and the ASIC
+    // mapper's match lists draw from.
+    constexpr std::uint32_t kFunctions = 1u << 16;
+    std::size_t classes = 0;  // functions that are their own canon: 222
+    const double s = best_of(3, [&] {
+      classes = 0;
+      for (std::uint32_t f = 0; f < kFunctions; ++f) {
+        const Tt6 canon = npn_canonicalize_exact(f, 4).canon;
+        classes += (canon & tt6_mask(4)) == f;
+      }
+    });
+    bench::JsonLine("npn_canon4", out)
+        .field("seconds", s)
+        .field("classes", classes)
+        .field("items_per_sec", static_cast<double>(kFunctions) / s);
   }
   std::fclose(out);
 }

@@ -18,8 +18,9 @@ Rows may carry two extra payloads this script understands:
       MetricsWindow).  Counters measure the *amount of work* (strash
       probes, sweep SAT calls), which is hardware-independent, so these
       are diffed with the same threshold and always enforced.  Tracked
-      indicators: the strash collision rate (extra probes per lookup)
-      and the sweep/CEC SAT-call count.
+      indicators: the strash collision rate (extra probes per lookup),
+      the sweep/CEC SAT-call count, and the MCH acyclicity guard's
+      searches and re-rankings.
 
 Usage:
   compare_bench.py BASELINE.json CURRENT.json [--threshold PCT] [--warn-only]
@@ -101,6 +102,12 @@ def work_indicators(metrics):
         out["sweep_sat_calls"] = float(metrics["sweep.sat_calls"])
     if "cec.batches" in metrics:
         out["cec_batches"] = float(metrics["cec.batches"])
+    # The MCH acyclicity guard: attaches that needed a search, and the
+    # whole-network re-rankings they forced.
+    if "choice.guard_searches" in metrics:
+        out["guard_searches"] = float(metrics["choice.guard_searches"])
+    if "choice.reranks" in metrics:
+        out["guard_reranks"] = float(metrics["choice.reranks"])
     return out
 
 

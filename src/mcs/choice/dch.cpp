@@ -25,10 +25,8 @@ Network build_dch(const std::vector<Network>& snapshots,
   for (const Network& snap : snapshots) {
     assert(snap.num_pis() == snapshots[0].num_pis());
     assert(snap.num_pos() == snapshots[0].num_pos());
-    for (std::size_t i = 0; i < snap.num_pos(); ++i) {
-      const Signal s = copy_cone(snap, dst, snap.po_at(i), pi_map);
-      if (&snap == &snapshots[0]) primary_pos.push_back(s);
-    }
+    std::vector<Signal> pos = copy_cones(snap, dst, snap.pos(), pi_map);
+    if (&snap == &snapshots[0]) primary_pos = std::move(pos);
   }
 
   // --- prove equivalence classes with the mcs::sweep engine ------------
@@ -53,10 +51,10 @@ Network build_dch(const std::vector<Network>& snapshots,
 
   // --- proven classes become choice classes ----------------------------
   // The engine's representative is the class *minimum*; choice classes
-  // want the *largest* id as their head so every choice edge points from a
-  // smaller to a larger node, which guarantees acyclicity of the covering
-  // relation.  Regroup each proven class and re-phase its members against
-  // the largest node.
+  // want the *largest* id as their head, so every dependency edge -- gate
+  // to fanin, head to member -- points to a smaller id and the choice
+  // network is acyclic without a reachability search.  Regroup each
+  // proven class and re-phase its members against the largest node.
   std::unordered_map<NodeId, std::vector<ProvenEquiv>> classes;
   std::vector<NodeId> reprs;
   for (const ProvenEquiv& e : proven) {
@@ -78,10 +76,7 @@ Network build_dch(const std::vector<Network>& snapshots,
           !dst.is_repr(head)) {
         continue;  // defensive; engine classes are disjoint
       }
-      if (choice_reaches(dst, node, head)) {
-        ++stats.num_rejected_cycle;  // defensive; unreachable by id order
-        continue;
-      }
+      assert(node < head);
       dst.add_choice(head, node, phase ^ head_phase);
       ++stats.num_proven;
     }

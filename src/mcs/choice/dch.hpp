@@ -37,7 +37,6 @@ struct DchStats {
   std::size_t num_proven = 0;
   std::size_t num_disproven = 0;
   std::size_t num_timeout = 0;
-  std::size_t num_rejected_cycle = 0;
 };
 
 /// Merges \p snapshots (functionally equivalent networks with identical

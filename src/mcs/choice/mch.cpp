@@ -41,8 +41,8 @@ std::vector<bool> collect_critical_nodes(const Network& net, double ratio) {
 namespace {
 
 /// Attempts to attach the candidate rooted at \p cand as a choice of \p n.
-void try_attach(Network& net, NodeId n, Signal cand, const MchParams& params,
-                const RandomSimulation* sim, MchStats& stats) {
+void try_attach(Network& net, ChoiceGuard& guard, NodeId n, Signal cand,
+                MchStats& stats) {
   ++stats.num_candidates_tried;
   const NodeId c = cand.node();
   if (c == n) {
@@ -57,15 +57,11 @@ void try_attach(Network& net, NodeId n, Signal cand, const MchParams& params,
   }
   if (!net.is_repr(n)) return;
   // Acyclicity guard: n must not be a dependency of the candidate cone.
-  if (choice_reaches(net, c, n)) {
+  if (!guard.attach(n, c, cand.complemented())) {
     ++stats.num_rejected_cycle;
     return;
   }
-  const bool phase = cand.complemented();
-  net.add_choice(n, c, phase);
   ++stats.num_choices_added;
-  (void)sim;
-  (void)params;
 }
 
 /// Counts current members of a class.
@@ -91,6 +87,7 @@ Network build_mch(const Network& input, const MchParams& params,
   // structural choices and stacks heterogeneous candidates on top.
   Network net = cleanup(input, {.keep_choices = true});
   const NodeId original_size = static_cast<NodeId>(net.size());
+  ChoiceGuard guard(net);
 
   // Line 2: critical-path collection controlled by the ratio r.
   const auto critical = collect_critical_nodes(net, params.critical_ratio);
@@ -130,7 +127,7 @@ Network build_mch(const Network& input, const MchParams& params,
         const auto cand =
             strategy->synthesize(net, params.candidate_basis, f, leaves);
         if (!cand) continue;
-        try_attach(net, n, *cand, params, nullptr, stats);
+        try_attach(net, guard, n, *cand, stats);
       }
     };
 
@@ -188,6 +185,8 @@ Network build_mch(const Network& input, const MchParams& params,
     }
   }
 
+  obs::counter("choice.guard_searches").add(guard.searches());
+  obs::counter("choice.reranks").add(guard.reranks());
   if (stats_out) *stats_out = stats;
   return net;
 }

@@ -14,9 +14,13 @@
 ///     DSD), synthesized both from their cuts and from their MFFCs.
 ///
 /// Nothing is ever replaced: equivalence is preserved by construction
-/// (candidates are synthesized from exact cut/MFFC functions) and guarded
-/// against covering cycles.  The resulting network feeds directly into the
-/// choice-aware mappers (Algorithm 3).
+/// (candidates are synthesized from exact cut/MFFC functions).  A candidate
+/// whose cone contains its representative would make a covering cycle; the
+/// rank-ordered ChoiceGuard (network_utils.hpp) rejects exactly those, and
+/// needs no traversal for a candidate ranked below its representative --
+/// the common case, since candidates are built on the representative's cut
+/// leaves.  The resulting network feeds directly into the choice-aware
+/// mappers (Algorithm 3).
 
 #pragma once
 
@@ -59,7 +63,7 @@ struct MchStats {
   std::size_t num_candidates_tried = 0;
   std::size_t num_choices_added = 0;
   std::size_t num_rejected_same = 0;     ///< strash found the original node
-  std::size_t num_rejected_cycle = 0;    ///< acyclicity guard fired
+  std::size_t num_rejected_cycle = 0;    ///< ChoiceGuard found a cycle
   std::size_t num_rejected_class = 0;    ///< candidate already classed
   std::size_t num_rejected_cap = 0;      ///< per-node cap reached
 };

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <map>
+#include <span>
 #include <unordered_map>
 
 #include "mcs/cut/enumeration.hpp"
@@ -269,15 +270,48 @@ class AsicMapper {
     st.ph[1].best.from_inverter = true;
   }
 
-  /// NPN canonicalization cache keyed by (support size, function).
-  const NpnCanonResult& canon_of(Tt6 f, int m) {
+  /// One library match of a support-reduced cut function: the cell, its
+  /// output phase and, per pin, the support variable, phase and delay.
+  struct CellMatch {
+    int cell = -1;
+    float area = 0.0f;
+    std::array<float, 4> pin_delay{};
+    std::int8_t num_pins = 0;
+    bool out_phase = false;
+    std::array<std::int8_t, 4> pin_var{};
+    std::array<bool, 4> pin_phase{};
+  };
+
+  /// The library matches of the \p m-variable function \p g, in library
+  /// order, composed once per function and reused by every cut whose
+  /// function shrinks to it.  The span stays valid until the next call.
+  std::span<const CellMatch> matches_of(Tt6 g, int m) {
     const std::uint32_t key = (static_cast<std::uint32_t>(m) << 16) |
-                              static_cast<std::uint32_t>(f & tt6_mask(4));
-    auto it = canon_cache_.find(key);
-    if (it == canon_cache_.end()) {
-      it = canon_cache_.emplace(key, npn_canonicalize_exact(f, m)).first;
+                              static_cast<std::uint32_t>(g & tt6_mask(4));
+    const auto [it, inserted] = match_lists_.try_emplace(key);
+    auto& [begin, end] = it->second;
+    if (inserted) {
+      begin = end = match_pool_.size();
+      const NpnCanonResult canon = npn_canonicalize_exact(g, m);
+      if (const auto* entries = lib_.matches(canon.canon, m)) {
+        for (const auto& entry : *entries) {
+          const Cell& cell = lib_.cell(entry.cell);
+          const NpnMatch nm = npn_match(canon.transform, entry.transform);
+          CellMatch& cm = match_pool_.emplace_back();
+          cm.cell = entry.cell;
+          cm.num_pins = static_cast<std::int8_t>(cell.num_pins);
+          cm.area = static_cast<float>(cell.area);
+          cm.out_phase = nm.output_negation;
+          for (int j = 0; j < cell.num_pins; ++j) {
+            cm.pin_var[j] = static_cast<std::int8_t>(nm.pin_to_leaf[j]);
+            cm.pin_phase[j] = (nm.pin_negation >> j) & 1u;
+            cm.pin_delay[j] = static_cast<float>(cell.pin_delays[j]);
+          }
+          ++end;
+        }
+      }
     }
-    return it->second;
+    return {match_pool_.data() + begin, end - begin};
   }
 
   /// Enumerates all library matches of \p cut; calls fn(match, out_phase).
@@ -289,30 +323,23 @@ class AsicMapper {
     const int m = tt6_shrink_support(g, cut.size, shrink_map);
     if (m == 0 || m > 4) return;  // constant or too wide for cells
 
-    const auto& canon = canon_of(g, m);
-    const auto* entries = lib_.matches(canon.canon, m);
-    if (entries == nullptr) return;
-
-    for (const auto& entry : *entries) {
-      const Cell& cell = lib_.cell(entry.cell);
-      const NpnMatch nm = npn_match(canon.transform, entry.transform);
+    for (const CellMatch& cm : matches_of(g, m)) {
       Match match;
-      match.cell = entry.cell;
-      match.num_pins = cell.num_pins;
+      match.cell = cm.cell;
+      match.num_pins = cm.num_pins;
       float arrival = 0.0f;
-      float flow = static_cast<float>(cell.area);
-      for (int j = 0; j < cell.num_pins; ++j) {
-        const NodeId leaf = cut.leaves[shrink_map[nm.pin_to_leaf[j]]];
-        const bool lph = (nm.pin_negation >> j) & 1u;
+      float flow = cm.area;
+      for (int j = 0; j < cm.num_pins; ++j) {
+        const NodeId leaf = cut.leaves[shrink_map[cm.pin_var[j]]];
+        const bool lph = cm.pin_phase[j];
         match.pin_leaf[j] = leaf;
         match.pin_phase[j] = lph;
-        arrival = std::max(arrival, leaf_arrival(leaf, lph) +
-                                        static_cast<float>(cell.pin_delays[j]));
+        arrival = std::max(arrival, leaf_arrival(leaf, lph) + cm.pin_delay[j]);
         flow += leaf_flow(leaf, lph) / state_[leaf].est_refs;
       }
       match.arrival = arrival;
       match.area_flow = flow;
-      fn(match, nm.output_negation);
+      fn(match, cm.out_phase);
     }
   }
 
@@ -702,7 +729,11 @@ class AsicMapper {
   float inv_delay_ = 0.0f;
   float inv_area_ = 0.0f;
   float target_delay_ = -1.0f;  ///< frozen after the first delay pass
-  std::unordered_map<std::uint32_t, NpnCanonResult> canon_cache_;
+  /// matches_of() results: (support size, function) -> [begin, end) of
+  /// match_pool_, one flat pool instead of a list per function.
+  std::unordered_map<std::uint32_t, std::pair<std::size_t, std::size_t>>
+      match_lists_;
+  std::vector<CellMatch> match_pool_;
 };
 
 }  // namespace

@@ -337,6 +337,44 @@ bool Network::check(std::string* error) const {
     }
   }
 
+  // Dependency cycles: a gate depends on its fanins and a class head on its
+  // members, and choice-aware algorithms need an order respecting both.  A
+  // member built on top of its head has none (and choice_topo_order would
+  // recurse until memory runs out), so colour every node once: a DFS edge
+  // into a node still open closes a cycle.
+  enum : std::uint8_t { kNew, kOpen, kDone };
+  std::vector<std::uint8_t> colour(nodes_.size(), kNew);
+  struct Frame {
+    NodeId n;
+    int fanin;      // next fanin to follow
+    NodeId member;  // next member to follow (heads only)
+  };
+  std::vector<Frame> stack;
+  const auto open = [&](NodeId n) {
+    colour[n] = kOpen;
+    stack.push_back({n, 0, is_repr(n) ? nodes_[n].next_choice : kNullNode});
+  };
+  for (NodeId root = 0; root < nodes_.size(); ++root) {
+    if (colour[root] != kNew) continue;
+    open(root);
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      NodeId child = kNullNode;
+      if (f.fanin < nodes_[f.n].num_fanins) {
+        child = nodes_[f.n].fanin[static_cast<std::size_t>(f.fanin++)].node();
+      } else if (f.member != kNullNode) {
+        child = f.member;
+        f.member = nodes_[child].next_choice;
+      } else {
+        colour[f.n] = kDone;
+        stack.pop_back();
+        continue;
+      }
+      if (colour[child] == kOpen) return fail(at("choice cycle", child));
+      if (colour[child] == kNew) open(child);
+    }
+  }
+
   // Strash coverage: every gate must be findable under its own key, or
   // future create_* calls would silently duplicate structure.
   for (NodeId id = 0; id < nodes_.size(); ++id) {

@@ -381,7 +381,8 @@ class Network {
   /// arities match types, levels obey level = max(fanin levels) + 1, the
   /// cached type/gate/choice counters and depth cache match recounts,
   /// pis_/pos_ are consistent, fanout counts re-derive, choice chains are
-  /// acyclic with members pointing at true representatives, and every
+  /// acyclic with members pointing at true representatives, no member
+  /// depends on its own head through fanins and members, and every
   /// gate is findable in the strash table under its own key.  O(n); the
   /// transactional stage runner calls this after every stage when
   /// validation is on.  Returns false and fills \p error (when given)

@@ -139,35 +139,90 @@ bool reaches(const Network& net, NodeId from, NodeId target) {
   return false;
 }
 
-bool choice_reaches(const Network& net, NodeId from, NodeId target) {
-  if (from == target) return true;
-  net.new_traversal();
-  std::vector<NodeId> stack{from};
-  net.mark(from);
-  auto push = [&](NodeId c) -> bool {
-    if (c == target) return true;
-    if (!net.marked(c)) {
-      net.mark(c);
-      stack.push_back(c);
+ChoiceGuard::ChoiceGuard(Network& net) : net_(net) { rank_all(); }
+
+void ChoiceGuard::rank_all() {
+  TopoVisitor v(net_, /*follow_choices=*/true);
+  for (NodeId n = 0; n < net_.size(); ++n) v.visit(n);
+  const std::vector<NodeId> order = v.take();
+  // Dependency depth, then a stable counting sort of the order by it.
+  std::vector<std::uint32_t> depth(net_.size(), 0);
+  std::uint32_t max_depth = 0;
+  for (const NodeId n : order) {
+    const Node& nd = net_.node(n);
+    std::uint32_t d = 0;
+    for (int i = 0; i < nd.num_fanins; ++i) {
+      d = std::max(d, depth[nd.fanin[i].node()] + 1);
+    }
+    if (net_.is_repr(n)) {
+      for (NodeId m = nd.next_choice; m != kNullNode;
+           m = net_.node(m).next_choice) {
+        d = std::max(d, depth[m] + 1);
+      }
+    }
+    depth[n] = d;
+    max_depth = std::max(max_depth, d);
+  }
+  std::vector<std::uint32_t> next(max_depth + 2, 0);
+  for (const NodeId n : order) ++next[depth[n] + 1];
+  for (std::size_t d = 1; d < next.size(); ++d) next[d] += next[d - 1];
+  rank_.assign(net_.size(), 0);
+  for (const NodeId n : order) rank_[n] = next[depth[n]]++;
+  stale_ = false;
+}
+
+bool ChoiceGuard::reaches_head(NodeId member, NodeId head) {
+  const std::uint32_t floor = rank_[head];
+  net_.new_traversal();
+  net_.mark(member);
+  stack_.assign(1, member);
+  auto push = [&](NodeId c) {
+    if (c == head) return true;
+    if (rank_[c] >= floor && !net_.marked(c)) {
+      net_.mark(c);
+      stack_.push_back(c);
     }
     return false;
   };
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
-    const Node& nd = net.node(n);
+  while (!stack_.empty()) {
+    const NodeId n = stack_.back();
+    stack_.pop_back();
+    const Node& nd = net_.node(n);
     for (int i = 0; i < nd.num_fanins; ++i) {
       if (push(nd.fanin[i].node())) return true;
     }
-    // Only a class representative depends on the member list.
-    if (net.is_repr(n)) {
+    // Only a class head depends on the member list.
+    if (net_.is_repr(n)) {
       for (NodeId m = nd.next_choice; m != kNullNode;
-           m = net.node(m).next_choice) {
+           m = net_.node(m).next_choice) {
         if (push(m)) return true;
       }
     }
   }
   return false;
+}
+
+bool ChoiceGuard::attach(NodeId head, NodeId member, bool phase) {
+  if (stale_) {
+    rank_all();
+    ++reranks_;
+  }
+  for (auto n = static_cast<NodeId>(rank_.size()); n < net_.size(); ++n) {
+    const Node& nd = net_.node(n);
+    assert(net_.is_repr(n) && nd.next_choice == kNullNode);
+    std::uint32_t r = 0;
+    for (int i = 0; i < nd.num_fanins; ++i) {
+      r = std::max(r, rank_[nd.fanin[i].node()]);
+    }
+    rank_.push_back(r);
+  }
+  if (rank_[member] >= rank_[head]) {
+    ++searches_;
+    if (reaches_head(member, head)) return false;
+    stale_ = rank_[member] > rank_[head];
+  }
+  net_.add_choice(head, member, phase);
+  return true;
 }
 
 Cone compute_mffc(const Network& net, NodeId root, int max_leaves) {
@@ -313,21 +368,45 @@ Signal rebuild_cone(const Network& src, Network& dst, NodeId old_node,
   return map[old_node];
 }
 
-}  // namespace
-
-Signal copy_cone(const Network& src, Network& dst, Signal root,
-                 const std::vector<Signal>& pi_map) {
+/// Seeds rebuild_cone's memo with src's constant and PIs (pi_map).
+void seed_cone_map(const Network& src, Network& dst,
+                   const std::vector<Signal>& pi_map, std::vector<Signal>& map,
+                   std::vector<bool>& mapped) {
   assert(pi_map.size() == src.num_pis());
-  std::vector<Signal> map(src.size(), Signal());
-  std::vector<bool> mapped(src.size(), false);
+  map.assign(src.size(), Signal());
+  mapped.assign(src.size(), false);
   map[0] = dst.constant(false);
   mapped[0] = true;
   for (std::size_t i = 0; i < src.num_pis(); ++i) {
     map[src.pi_at(i)] = pi_map[i];
     mapped[src.pi_at(i)] = true;
   }
+}
+
+}  // namespace
+
+Signal copy_cone(const Network& src, Network& dst, Signal root,
+                 const std::vector<Signal>& pi_map) {
+  std::vector<Signal> map;
+  std::vector<bool> mapped;
+  seed_cone_map(src, dst, pi_map, map, mapped);
   return rebuild_cone(src, dst, root.node(), map, mapped) ^
          root.complemented();
+}
+
+std::vector<Signal> copy_cones(const Network& src, Network& dst,
+                               const std::vector<Signal>& roots,
+                               const std::vector<Signal>& pi_map) {
+  std::vector<Signal> map;
+  std::vector<bool> mapped;
+  seed_cone_map(src, dst, pi_map, map, mapped);
+  std::vector<Signal> out;
+  out.reserve(roots.size());
+  for (const Signal root : roots) {
+    out.push_back(rebuild_cone(src, dst, root.node(), map, mapped) ^
+                  root.complemented());
+  }
+  return out;
 }
 
 Network cleanup(const Network& net, const CleanupOptions& opts) {

@@ -1,37 +1,50 @@
 #include "mcs/tt/npn.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace mcs {
 
 NpnCanonResult npn_canonicalize_exact(Tt6 f, int num_vars) {
   f = tt6_replicate(f, num_vars);
+  const Tt6 mask = tt6_mask(num_vars);
+  const std::uint32_t num_flips = 1u << num_vars;
 
   NpnCanonResult best;
-  best.canon = ~0ull;
+  best.transform.num_vars = num_vars;
+  Tt6 best_image = 0;
   bool first = true;
 
-  std::array<int, 6> perm{0, 1, 2, 3, 4, 5};
-  // Enumerate permutations of the first num_vars entries.
-  std::array<int, 6> p = perm;
+  // Flipping original variable v and then permuting equals permuting and
+  // then flipping v's new position, so each permutation is applied once
+  // and its 2^n flip images derive from earlier ones, one flip each.
+  std::array<Tt6, 64> image{};
+  std::array<int, 6> p{0, 1, 2, 3, 4, 5};  // permutations of the first n
   do {
-    for (std::uint32_t flips = 0; flips < (1u << num_vars); ++flips) {
-      for (int out = 0; out < 2; ++out) {
-        NpnTransform t;
-        t.num_vars = num_vars;
-        t.perm = p;
-        t.flips = flips;
-        t.out_flip = (out == 1);
-        const Tt6 image = t.apply(f) & tt6_mask(num_vars);
-        if (first || image < (best.canon & tt6_mask(num_vars))) {
+    std::array<int, 6> pos{};  // pos[old var] = its position after p
+    for (int i = 0; i < num_vars; ++i) pos[p[i]] = i;
+    image[0] = tt6_permute(f, p, num_vars);
+    for (std::uint32_t flips = 1; flips < num_flips; ++flips) {
+      image[flips] = tt6_flip_var(image[flips & (flips - 1)],
+                                  pos[std::countr_zero(flips)]);
+    }
+    // Same order and strict `<` as applying every transform in turn, so a
+    // tie keeps the first transform found.
+    for (std::uint32_t flips = 0; flips < num_flips; ++flips) {
+      for (const bool out : {false, true}) {
+        const Tt6 candidate = (out ? ~image[flips] : image[flips]) & mask;
+        if (first || candidate < best_image) {
           first = false;
-          best.canon = tt6_replicate(image, num_vars);
-          best.transform = t;
+          best_image = candidate;
+          best.transform.perm = p;
+          best.transform.flips = flips;
+          best.transform.out_flip = out;
         }
       }
     }
   } while (std::next_permutation(p.begin(), p.begin() + num_vars));
 
+  best.canon = tt6_replicate(best_image, num_vars);
   return best;
 }
 

@@ -49,9 +49,13 @@ struct NpnCanonResult {
 
 /// Exact (exhaustive) NPN canonicalization.
 ///
-/// Enumerates all n! * 2^n * 2 transforms and returns the lexicographically
-/// smallest image together with the transform that produces it.  Intended for
-/// n <= 5; cost grows as n! * 2^n.
+/// Considers all n! * 2^n * 2 transforms -- permutations in
+/// std::next_permutation order, then input flips ascending, then the output
+/// phase -- and returns the smallest image together with the first
+/// transform that produces it.  Ties matter: the transform fixes the pin
+/// assignment, and through it the delay, of every library match.  Each
+/// permutation is applied to f once; its 2^n flip images cost one
+/// variable flip each.  Intended for n <= 5; cost grows as n! * 2^n.
 [[nodiscard]] NpnCanonResult npn_canonicalize_exact(Tt6 f, int num_vars);
 
 /// Describes how to realize a function `f` using an implementation of `g`

@@ -7,8 +7,10 @@
 
 #include "mcs/choice/dch.hpp"
 #include "mcs/choice/mch.hpp"
+#include "mcs/circuits/circuits.hpp"
 #include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
+#include "mcs/opt/optimize.hpp"
 #include "mcs/sat/cec.hpp"
 #include "mcs/sat/miter.hpp"
 #include "mcs/sim/simulator.hpp"
@@ -112,6 +114,35 @@ INSTANTIATE_TEST_SUITE_P(SeedsAndBases, MchOnRandomNetworks,
                          ::testing::Combine(::testing::Values(1, 2, 3),
                                             ::testing::Values(0, 1, 2, 3)));
 
+TEST(Mch, StacksOnInheritedClasses) {
+  // Inherited members may have larger ids than their heads, so ids are no
+  // topological order of the input: the guard must rank by dependencies.
+  const auto base = testing::random_network({.num_pis = 6,
+                                             .num_gates = 80,
+                                             .num_pos = 4,
+                                             .basis = GateBasis::aig(),
+                                             .seed = 29});
+  const Network dch = build_dch({base, balance(base), rewrite(base)});
+  ASSERT_GT(dch.num_choices(), 0u);
+  const Network first = build_mch(base, {});
+  for (const Network* input : {&dch, &first}) {
+    MchParams params;
+    params.candidate_basis = GateBasis::xag();
+    params.critical_ratio = 0.2;
+    params.cut_size = 5;
+    params.max_choices_per_node = 6;
+    params.verify_candidates = true;
+    MchStats stats;
+    const Network mch = build_mch(*input, params, &stats);
+    EXPECT_GT(stats.num_choices_added, 0u);
+    EXPECT_EQ(check_equivalence(base, mch), CecResult::kEquivalent);
+    std::string why;
+    EXPECT_TRUE(mch.check(&why)) << why;
+    expect_choices_valid(mch);
+    expect_choice_order_valid(mch);
+  }
+}
+
 TEST(Mch, CandidatesAreHeterogeneous) {
   // An AIG input with XMG candidates must contain MAJ/XOR choice nodes.
   const auto input = testing::random_network({.num_pis = 6,
@@ -197,6 +228,34 @@ TEST(Dch, RandomNetworkWithRestructuredSnapshot) {
   EXPECT_EQ(check_equivalence(base, dch), CecResult::kEquivalent);
   expect_choices_valid(dch);
   expect_choice_order_valid(dch);
+}
+
+TEST(Dch, OneWalkMergeEqualsPerPoCopies) {
+  // build_dch merges each snapshot with one copy_cones walk; a copy_cone
+  // call per PO must give the identical network (Table I's DCH circuits).
+  for (const Network& circuit :
+       {circuits::multiplier(8), circuits::sin_approx(8), circuits::voter(63),
+        circuits::sqrt_circuit(14)}) {
+    const Network net = expand_to_aig(circuit);
+    Network per_po;
+    Network one_walk;
+    std::vector<Signal> pis_a;
+    std::vector<Signal> pis_b;
+    for (std::size_t i = 0; i < net.num_pis(); ++i) {
+      pis_a.push_back(per_po.create_pi());
+      pis_b.push_back(one_walk.create_pi());
+    }
+    for (const Network& snap : {net, balance(net), rewrite(net)}) {
+      for (const Signal s : snap.pos()) {
+        per_po.create_po(copy_cone(snap, per_po, s, pis_a));
+      }
+      for (const Signal s : copy_cones(snap, one_walk, snap.pos(), pis_b)) {
+        one_walk.create_po(s);
+      }
+    }
+    EXPECT_GT(one_walk.num_gates(), net.num_gates());
+    EXPECT_TRUE(structurally_identical(per_po, one_walk));
+  }
 }
 
 TEST(Convert, BasisRoundTripsPreserveFunction) {

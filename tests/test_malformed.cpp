@@ -4,11 +4,14 @@
 /// contract under test is uniform: hostile bytes raise a typed exception
 /// (std::runtime_error for readers, ProtocolError for the protocol) and
 /// never crash, hang, or OOM; after absorbing the whole corpus a live
-/// JobServer still answers "ping" and completes a valid job.
+/// JobServer still answers "ping" and completes a valid job.  A checkpoint
+/// snapshot that restores into a structurally impossible network fails the
+/// restore audit (Network::check) instead.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <cstdint>
 #include <mutex>
 #include <sstream>
@@ -16,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "mcs/ckpt/snapshot.hpp"
 #include "mcs/io/aiger.hpp"
 #include "mcs/io/blif_read.hpp"
 #include "mcs/server/json.hpp"
@@ -166,6 +170,29 @@ TEST(MalformedProtocol, EveryCaseThrowsProtocolOrJsonError) {
     } catch (const server::JsonError&) {
     }
   }
+}
+
+// --- checkpoint snapshots ----------------------------------------------------
+
+TEST(MalformedSnapshot, ChoiceCycleFailsTheRestoreAudit) {
+  // The blob itself is well formed (checksum, chain shape), but its class
+  // has a member built on top of its head.  The server's restore audit and
+  // ckpt:validate run check(), which must reject it: the next choice-aware
+  // stage would otherwise recurse until memory runs out.
+  Network net;
+  const Signal a = net.create_pi();
+  const Signal b = net.create_pi();
+  const Signal g1 = net.create_and(a, b);
+  const Signal g2 = net.create_and(g1, a);
+  net.create_po(g1);
+  net.add_choice(g1.node(), g2.node(), false);
+  const std::string path = ::testing::TempDir() + "mcs_malformed_cycle.snap";
+  ckpt::write_snapshot_file(net, path);
+  const Network back = ckpt::read_snapshot_file(path);
+  std::remove(path.c_str());
+  std::string why;
+  EXPECT_FALSE(back.check(&why));
+  EXPECT_NE(why.find("choice cycle"), std::string::npos) << why;
 }
 
 // --- the daemon survives the whole corpus -----------------------------------

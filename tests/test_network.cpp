@@ -1,12 +1,15 @@
 /// Unit tests for the mixed network: strashing rules, constant folding,
-/// levels, choices, traversal utilities, cones and cleanup.
+/// levels, choices and their acyclicity guard, traversal utilities, cones
+/// and cleanup.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <tuple>
 
+#include "mcs/common/rng.hpp"
 #include "mcs/network/network.hpp"
 #include "mcs/network/network_utils.hpp"
 #include "mcs/sim/simulator.hpp"
@@ -151,6 +154,43 @@ TEST(Network, ChoiceLinks) {
   EXPECT_TRUE(net.is_repr(m.node()));
 }
 
+TEST(Network, CheckRejectsChoiceCycles) {
+  {
+    // A member built on top of its own head.
+    Network net;
+    const Signal a = net.create_pi();
+    const Signal b = net.create_pi();
+    const Signal g1 = net.create_and(a, b);
+    const Signal g2 = net.create_and(g1, a);
+    net.create_po(g1);
+    std::string why;
+    ASSERT_TRUE(net.check(&why)) << why;
+    net.add_choice(g1.node(), g2.node(), false);
+    EXPECT_FALSE(net.check(&why));
+    EXPECT_NE(why.find("choice cycle at node"), std::string::npos) << why;
+  }
+  {
+    // Through two classes: each member depends on the other class's head,
+    // so no single class shows the cycle.
+    Network net;
+    const Signal a = net.create_pi();
+    const Signal b = net.create_pi();
+    const Signal c = net.create_pi();
+    const Signal h1 = net.create_and(a, b);
+    const Signal h2 = net.create_and(a, c);
+    const Signal m1 = net.create_and(h2, b);
+    const Signal m2 = net.create_and(h1, c);
+    net.create_po(h1);
+    net.create_po(h2);
+    net.add_choice(h1.node(), m1.node(), false);
+    std::string why;
+    ASSERT_TRUE(net.check(&why)) << why;
+    net.add_choice(h2.node(), m2.node(), false);
+    EXPECT_FALSE(net.check(&why));
+    EXPECT_NE(why.find("choice cycle at node"), std::string::npos) << why;
+  }
+}
+
 TEST(NetworkUtils, TopoOrderRespectsFanins) {
   const auto net = testing::random_network({});
   const auto order = topo_order(net);
@@ -195,6 +235,86 @@ TEST(NetworkUtils, Reaches) {
   EXPECT_TRUE(reaches(net, g2.node(), a.node()));
   EXPECT_TRUE(reaches(net, g2.node(), g1.node()));
   EXPECT_FALSE(reaches(net, g1.node(), g2.node()));
+}
+
+/// Oracle for ChoiceGuard: is \p target reachable from \p from over
+/// fanins and (for class heads) members?
+bool depends_on(const Network& net, NodeId from, NodeId target) {
+  std::vector<char> seen(net.size(), 0);
+  std::vector<NodeId> stack{from};
+  while (!stack.empty()) {
+    const NodeId n = stack.back();
+    stack.pop_back();
+    if (n == target) return true;
+    if (seen[n]) continue;
+    seen[n] = 1;
+    const Node& nd = net.node(n);
+    for (int i = 0; i < nd.num_fanins; ++i) stack.push_back(nd.fanin[i].node());
+    if (!net.is_repr(n)) continue;
+    for (NodeId m = nd.next_choice; m != kNullNode;
+         m = net.node(m).next_choice) {
+      stack.push_back(m);
+    }
+  }
+  return false;
+}
+
+TEST(ChoiceGuard, AgreesWithReachabilityOracle) {
+  std::size_t accepted = 0, rejected = 0, searches = 0, reranks = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    Network net = testing::random_network(
+        {.num_pis = 6, .num_gates = 40, .num_pos = 4, .seed = seed});
+    ChoiceGuard guard(net);
+    Rng rng(seed);
+    const auto pick = [&] {
+      return Signal(static_cast<NodeId>(rng.next_below(net.size())),
+                    rng.next_bool());
+    };
+    const auto any_gate = [&] {
+      NodeId n = 0;
+      while (!net.is_gate(n)) {
+        n = static_cast<NodeId>(rng.next_below(net.size()));
+      }
+      return n;
+    };
+    for (int q = 0; q < 200; ++q) {
+      // The network grows between attaches, as under the MCH strategies.
+      for (auto k = rng.next_below(4); k-- > 0;) {
+        net.create_xor3(pick(), pick(), pick());
+      }
+      const NodeId head = any_gate();
+      if (!net.is_repr(head)) continue;
+      NodeId member = 0;
+      switch (rng.next_below(3)) {
+        case 0:  // built on top of the head: must be rejected
+          member = net.create_and(Signal(head, false), pick()).node();
+          break;
+        case 1:  // a fresh candidate somewhere in the network
+          member = net.create_maj(pick(), pick(), pick()).node();
+          break;
+        default:  // an existing node, often ranked above the head
+          member = any_gate();
+          break;
+      }
+      if (member == head || !net.is_gate(member) || !net.is_repr(member) ||
+          net.node(member).next_choice != kNullNode) {
+        continue;
+      }
+      const bool safe = !depends_on(net, member, head);
+      ASSERT_EQ(guard.attach(head, member, rng.next_bool()), safe)
+          << "seed " << seed << ", query " << q;
+      ++(safe ? accepted : rejected);
+      std::string why;
+      ASSERT_TRUE(net.check(&why)) << why;
+    }
+    searches += guard.searches();
+    reranks += guard.reranks();
+  }
+  // Every path of the guard ran: attaches without a search, searches that
+  // rejected, and members outranking their head that forced a re-rank.
+  EXPECT_LT(searches, accepted + rejected);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(reranks, 0u);
 }
 
 TEST(NetworkUtils, MffcOfTree) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
 #include "mcs/common/rng.hpp"
 #include "mcs/tt/npn.hpp"
 #include "mcs/tt/truth_table.hpp"
@@ -157,6 +160,65 @@ TEST(Npn, MatchReconstructsFunction) {
       if (m.output_negation) val = !val;
       EXPECT_EQ(val, ((f >> u) & 1) != 0);
     }
+  }
+}
+
+/// Reference: every transform applied in turn, in the documented order
+/// (permutations, then flips ascending, then the output phase), keeping
+/// the first smallest image.
+NpnCanonResult npn_canonicalize_reference(Tt6 f, int num_vars) {
+  f = tt6_replicate(f, num_vars);
+  NpnCanonResult best;
+  best.canon = ~0ull;
+  bool first = true;
+  std::array<int, 6> p{0, 1, 2, 3, 4, 5};
+  do {
+    for (std::uint32_t flips = 0; flips < (1u << num_vars); ++flips) {
+      for (int out = 0; out < 2; ++out) {
+        NpnTransform t;
+        t.num_vars = num_vars;
+        t.perm = p;
+        t.flips = flips;
+        t.out_flip = (out == 1);
+        const Tt6 image = t.apply(f) & tt6_mask(num_vars);
+        if (first || image < (best.canon & tt6_mask(num_vars))) {
+          first = false;
+          best.canon = tt6_replicate(image, num_vars);
+          best.transform = t;
+        }
+      }
+    }
+  } while (std::next_permutation(p.begin(), p.begin() + num_vars));
+  return best;
+}
+
+::testing::AssertionResult same_canonicalization(Tt6 f, int num_vars) {
+  const NpnCanonResult got = npn_canonicalize_exact(f, num_vars);
+  const NpnCanonResult want = npn_canonicalize_reference(f, num_vars);
+  const NpnTransform& a = got.transform;
+  const NpnTransform& b = want.transform;
+  if (got.canon == want.canon && a.perm == b.perm && a.flips == b.flips &&
+      a.out_flip == b.out_flip && a.num_vars == b.num_vars) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << num_vars << "-var f=0x" << std::hex << f << ": canon 0x"
+         << got.canon << " vs 0x" << want.canon << ", flips 0x" << a.flips
+         << " vs 0x" << b.flips << ", out_flip " << a.out_flip << " vs "
+         << b.out_flip;
+}
+
+TEST(Npn, ExactEqualsTransformByTransformReference) {
+  // The transform (not just the canon) must match: ties keep the first
+  // transform found, and the ASIC mapper's pin assignment follows it.
+  for (int n = 0; n <= 4; ++n) {
+    for (std::uint32_t f = 0; f < (1u << (1u << n)); ++f) {
+      ASSERT_TRUE(same_canonicalization(f, n));
+    }
+  }
+  Rng rng(2024);
+  for (int i = 0; i < 2000; ++i) {
+    ASSERT_TRUE(same_canonicalization(rng.next(), 5));
   }
 }
 
