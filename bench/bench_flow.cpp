@@ -20,6 +20,8 @@
 ///                      sampler live at that interval in ms (ring of 120),
 ///                      mirroring a serving deployment; no-op stub under
 ///                      MCS_OBS_DISABLE
+///
+/// A numeric knob that is junk or out of range exits 2, naming the variable.
 
 #include <cstdio>
 #include <cstdlib>
@@ -51,21 +53,15 @@ constexpr Circuit kCircuits[] = {
 int main() {
   obs::init_from_env();
   const char* spec_env = std::getenv("MCS_FLOW_SPEC");
-  int threads = 1;
-  if (const char* t = std::getenv("MCS_FLOW_THREADS")) {
-    threads = std::atoi(t);
-  }
+  const int threads =
+      bench::env_number("MCS_FLOW_THREADS", 1, 0, 256, flow::parse_int);
   const char* only = std::getenv("MCS_FLOW_ONLY");
-  int repeat = 1;
-  if (const char* r = std::getenv("MCS_FLOW_REPEAT")) {
-    repeat = std::atoi(r);
-    if (repeat < 1) repeat = 1;
-  }
-  if (const char* s = std::getenv("MCS_FLOW_SAMPLER")) {
-    const int interval_ms = std::atoi(s);
-    if (interval_ms > 0) {
-      obs::sampler_start(static_cast<unsigned>(interval_ms), 120);
-    }
+  const int repeat =
+      bench::env_number("MCS_FLOW_REPEAT", 1, 1, 10000, flow::parse_int);
+  const int interval_ms =
+      bench::env_number("MCS_FLOW_SAMPLER", 0, 0, 60000, flow::parse_int);
+  if (interval_ms > 0) {
+    obs::sampler_start(static_cast<unsigned>(interval_ms), 120);
   }
 
   const std::string serial_tail =

@@ -8,12 +8,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "mcs/common/json.hpp"
 #include "mcs/flow/flow.hpp"
 #include "mcs/map/asic_mapper.hpp"
-#include "mcs/map/lut_mapper.hpp"
 #include "mcs/network/network.hpp"
 #include "mcs/obs/obs.hpp"
 #include "mcs/sim/simulator.hpp"
@@ -47,40 +47,35 @@ inline double improvement(double base, double ours) {
   return 100.0 * (base - ours) / base;
 }
 
-/// Scale factor for the generated suite: MCS_SCALE in (0, 1]; default keeps
-/// the full 6-flow evaluation around a few minutes on one core.
-inline double suite_scale_or(double dflt) {
-  if (const char* env = std::getenv("MCS_SCALE")) {
-    const double s = std::atof(env);
-    if (s > 0.05 && s <= 1.0) return s;
+/// Reads environment variable \p name with \p parse (flow::parse_int or
+/// flow::parse_double) as a number in [\p lo, \p hi]; \p dflt when unset.
+/// Junk ("4junk", "nan") or an out-of-range value is a usage error: the
+/// bench exits 2 naming the variable rather than run on a value it
+/// silently substituted.
+template <class T, class Parse>
+T env_number(const char* name, T dflt, T lo, T hi, Parse parse) {
+  const char* text = std::getenv(name);
+  if (text == nullptr) return dflt;
+  const auto v = parse(text);
+  if (!v || *v < lo || *v > hi) {
+    std::fprintf(stderr, "%s must be %s in [%g, %g], got '%s'\n", name,
+                 std::is_integral_v<T> ? "a whole number" : "a number",
+                 static_cast<double>(lo), static_cast<double>(hi), text);
+    std::exit(2);
   }
-  return dflt;
+  return static_cast<T>(*v);
+}
+
+/// Scale factor for the generated suite: MCS_SCALE in [0.05, 1]; the
+/// default keeps the full 6-flow evaluation around a few minutes on one core.
+inline double suite_scale_or(double dflt) {
+  return env_number("MCS_SCALE", dflt, 0.05, 1.0, flow::parse_double);
 }
 inline double suite_scale() { return suite_scale_or(0.6); }
 
 /// Fast functional check: word-parallel random simulation of the original
-/// network vs a mapped LUT network (the unit tests carry the full formal
+/// network vs an ASIC cell netlist (the unit tests carry the full formal
 /// CEC burden; benches use 2048 random vectors).
-inline bool sim_check(const Network& net, const LutNetwork& lnet,
-                      std::uint64_t seed = 0xbadc0de) {
-  RandomSimulation sim(net, 32, seed);
-  for (int w = 0; w < 32; ++w) {
-    std::vector<std::uint64_t> pi_vals;
-    for (std::size_t i = 0; i < net.num_pis(); ++i) {
-      pi_vals.push_back(sim.node_values(net.pi_at(i))[w]);
-    }
-    const auto pos = lnet.simulate(pi_vals);
-    for (std::size_t i = 0; i < net.num_pos(); ++i) {
-      const Signal s = net.po_at(i);
-      const std::uint64_t expect =
-          sim.node_values(s.node())[w] ^ (s.complemented() ? ~0ull : 0ull);
-      if (pos[i] != expect) return false;
-    }
-  }
-  return true;
-}
-
-/// Same for an ASIC cell netlist.
 inline bool sim_check(const Network& net, const CellNetlist& m,
                       std::uint64_t seed = 0xbadc0de) {
   RandomSimulation sim(net, 32, seed);

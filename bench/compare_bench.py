@@ -22,12 +22,17 @@ Rows may carry two extra payloads this script understands:
       the sweep/CEC SAT-call count, and the MCH acyclicity guard's
       searches and re-rankings.
 
+QoR rows (`bench_paper`'s, carrying "table", "circuit" and "column") are
+keyed by those three fields and must match exactly: QoR is deterministic
+and hardware-independent, so any changed, missing or extra value fails the
+run whatever --warn-only or the hardware caveat says.
+
 Usage:
   compare_bench.py BASELINE.json CURRENT.json [--threshold PCT] [--warn-only]
 
 Exits 1 when any bench regresses by more than the threshold (default 10%),
 unless --warn-only is given (informational mode, e.g. CI runners whose
-hardware differs from the committed baseline's).
+hardware differs from the committed baseline's), and on any QoR difference.
 """
 
 import argparse
@@ -35,14 +40,19 @@ import json
 import sys
 
 
-def load(path):
-    """bench key -> row dict: metric/value/higher_better/metrics/hw_threads.
+QOR_KEY = ("table", "circuit", "column")
 
+
+def load(path):
+    """(bench key -> row dict, QoR key -> QoR fields) of one JSON-line file.
+
+    Timing rows map to metric/value/higher_better/metrics/hw_threads.
     Thread-scaling entries (lines carrying a "threads" field, e.g. the
     `bench_micro --json-par` suite) are keyed "name@tN" so the regression
     check compares equal thread counts against each other.
     """
     best = {}
+    qor = {}
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
             line = line.strip()
@@ -54,6 +64,14 @@ def load(path):
                 sys.exit(f"{path}:{line_no}: not a JSON line: {e}")
             name = obj.get("bench")
             if not name:
+                continue
+            if "table" in obj:
+                key = " / ".join(str(obj.get(k)) for k in QOR_KEY)
+                fields = {k: v for k, v in obj.items()
+                          if k != "bench" and k not in QOR_KEY}
+                if qor.get(key, fields) != fields:
+                    sys.exit(f"{path}:{line_no}: {key} repeats with other QoR")
+                qor[key] = fields
                 continue
             if "threads" in obj:
                 name = f"{name}@t{obj['threads']}"
@@ -75,7 +93,23 @@ def load(path):
                     "metrics": obj.get("metrics") or {},
                     "hw_threads": obj.get("hardware_threads"),
                 }
-    return best
+    return best, qor
+
+
+def compare_qor(base, cur):
+    """Every QoR difference between two runs, as printable lines."""
+    diffs = []
+    for key in sorted(set(base) | set(cur)):
+        if key not in cur:
+            diffs.append(f"{key}: missing from current run")
+        elif key not in base:
+            diffs.append(f"{key}: not in the baseline")
+        else:
+            for field in sorted(set(base[key]) | set(cur[key])):
+                b, c = base[key].get(field), cur[key].get(field)
+                if b != c:
+                    diffs.append(f"{key}: {field} {b} -> {c}")
+    return diffs
 
 
 def hw_threads_of(benches):
@@ -167,12 +201,19 @@ def main():
                     help="report regressions but always exit 0")
     args = ap.parse_args()
 
-    base = load(args.baseline)
-    cur = load(args.current)
-    if not base:
+    base, base_qor = load(args.baseline)
+    cur, cur_qor = load(args.current)
+    if not base and not base_qor:
         sys.exit(f"{args.baseline}: no benches found")
-    if not cur:
+    if not cur and not cur_qor:
         sys.exit(f"{args.current}: no benches found")
+
+    qor_diffs = compare_qor(base_qor, cur_qor)
+    if base_qor or cur_qor:
+        print(f"QoR: {len(base_qor)} baseline rows, {len(cur_qor)} current "
+              f"rows, {len(qor_diffs)} difference(s)")
+        for line in qor_diffs:
+            print(f"  QoR CHANGED {line}")
 
     # Hardware caveat: wall-clock numbers from different machines (or core
     # counts) do not compare.  Timing regressions become warnings; the
@@ -187,8 +228,9 @@ def main():
 
     timing_regressions = []
     work_regressions = []
-    print(f"{'bench':<24} {'metric':<14} {'baseline':>12} {'current':>12} "
-          f"{'delta':>8}")
+    if base or cur:
+        print(f"{'bench':<24} {'metric':<14} {'baseline':>12} "
+              f"{'current':>12} {'delta':>8}")
     for name in sorted(set(base) | set(cur)):
         if name not in base:
             print(f"{name:<24} {'(new)':<14} {'-':>12} "
@@ -233,6 +275,10 @@ def main():
         print(f"\n{len(timing_regressions)} timing regression(s) ignored "
               "(hardware mismatch; see caveat above)", file=sys.stderr)
 
+    if qor_diffs:
+        print(f"\n{len(qor_diffs)} QoR difference(s); QoR is exact, so this "
+              "fails regardless of --warn-only", file=sys.stderr)
+        sys.exit(1)
     if fatal:
         print(f"\n{len(fatal)} regression(s) beyond "
               f"{args.threshold:.0f}%:", file=sys.stderr)

@@ -411,34 +411,47 @@ Network voter(int inputs) {
 
 // --- registry ---------------------------------------------------------------
 
-std::vector<BenchmarkCircuit> epfl_suite(double scale) {
-  auto sc = [&](int bits, int min_bits) {
-    return std::max(min_bits, static_cast<int>(std::lround(bits * scale)));
+std::span<const CircuitFamily> circuit_families() {
+  static const CircuitFamily kFamilies[] = {
+      {"adder", 64, 8, false, adder},
+      {"bar", 64, 8, false, barrel_shifter},
+      {"div", 16, 4, false, divider},
+      {"hyp", 12, 4, false, hypotenuse},
+      {"log2", 16, 4, false, log2_approx},
+      {"max", 32, 4, false, max4},
+      {"multiplier", 16, 4, false, multiplier},
+      {"sin", 10, 4, false, sin_approx},
+      {"sqrt", 24, 4, false, sqrt_circuit},
+      {"square", 20, 4, false, square},
+      {"arbiter", 32, 8, false, round_robin_arbiter},
+      {"cavlc", 0, 0, false, [](int) { return cavlc_like(); }},
+      {"ctrl", 0, 0, false, [](int) { return ctrl_like(); }},
+      {"dec", 7, 5, true, decoder},
+      {"i2c", 0, 0, false, [](int) { return i2c_like(); }},
+      {"int2float", 0, 0, false, [](int) { return int2float_like(); }},
+      {"mem_ctrl", 0, 0, false, [](int) { return mem_ctrl_like(); }},
+      {"priority", 64, 8, false, priority_encoder},
+      {"router", 0, 0, false, [](int) { return router_like(); }},
+      {"voter", 63, 15, true, voter},
   };
-  std::vector<BenchmarkCircuit> suite;
-  suite.push_back({"adder", adder(sc(64, 8))});
-  suite.push_back({"bar", barrel_shifter(sc(64, 8))});
-  suite.push_back({"div", divider(sc(16, 4))});
-  suite.push_back({"hyp", hypotenuse(sc(12, 4))});
-  suite.push_back({"log2", log2_approx(sc(16, 4))});
-  suite.push_back({"max", max4(sc(32, 4))});
-  suite.push_back({"multiplier", multiplier(sc(16, 4))});
-  suite.push_back({"sin", sin_approx(sc(10, 4))});
-  suite.push_back({"sqrt", sqrt_circuit(sc(24, 4))});
-  suite.push_back({"square", square(sc(20, 4))});
-  suite.push_back({"arbiter", round_robin_arbiter(sc(32, 8))});
-  suite.push_back({"cavlc", cavlc_like()});
-  suite.push_back({"ctrl", ctrl_like()});
-  suite.push_back({"dec", decoder(scale >= 0.9 ? 7 : 5)});
-  suite.push_back({"i2c", i2c_like()});
-  suite.push_back({"int2float", int2float_like()});
-  suite.push_back({"mem_ctrl", mem_ctrl_like()});
-  suite.push_back({"priority", priority_encoder(sc(64, 8))});
-  suite.push_back({"router", router_like()});
-  suite.push_back({"voter", voter(scale >= 0.9 ? 63 : 15)});
-  return suite;
+  return kFamilies;
 }
 
-std::vector<BenchmarkCircuit> epfl_suite_small() { return epfl_suite(0.35); }
+std::vector<BenchmarkCircuit> epfl_suite(double scale) {
+  std::vector<BenchmarkCircuit> suite;
+  for (const CircuitFamily& f : circuit_families()) {
+    int bits = 0;  // fixed circuit
+    if (f.stepped) {
+      bits = scale >= 0.9 ? f.full_bits : f.min_bits;
+    } else if (f.full_bits > 0) {
+      bits = std::max(f.min_bits,
+                      static_cast<int>(std::lround(f.full_bits * scale)));
+    }
+    std::string gen = std::string("gen:") + f.name;
+    if (bits > 0) gen += ",bits=" + std::to_string(bits);
+    suite.push_back({f.name, std::move(gen), f.make(bits)});
+  }
+  return suite;
+}
 
 }  // namespace mcs::circuits

@@ -1,7 +1,7 @@
 /// \file passes.cpp
 /// \brief Core pass registrations: benchmark generation, AIGER/BLIF/Verilog
-/// io, network analysis (ps/cec), structural housekeeping (strash/to) and
-/// the flow settings (threads/partsize/seed).
+/// io, network analysis (ps/cec), structural housekeeping (strash, to,
+/// detect_xors) and the flow settings (threads/partsize/seed).
 
 #include <cstdio>
 #include <fstream>
@@ -30,37 +30,6 @@
 namespace mcs::flow {
 
 namespace {
-
-/// Generator table for `gen`: bits == 0 picks the family's default width
-/// (the epfl_suite sizes); non-parametrizable circuits ignore bits.
-struct Generator {
-  const char* name;
-  int default_bits;                 ///< 0 = not parametrizable
-  Network (*make)(int bits);
-};
-
-const Generator kGenerators[] = {
-    {"adder", 64, [](int b) { return circuits::adder(b); }},
-    {"bar", 64, [](int b) { return circuits::barrel_shifter(b); }},
-    {"div", 16, [](int b) { return circuits::divider(b); }},
-    {"hyp", 12, [](int b) { return circuits::hypotenuse(b); }},
-    {"log2", 16, [](int b) { return circuits::log2_approx(b); }},
-    {"max", 32, [](int b) { return circuits::max4(b); }},
-    {"multiplier", 16, [](int b) { return circuits::multiplier(b); }},
-    {"sin", 10, [](int b) { return circuits::sin_approx(b); }},
-    {"sqrt", 24, [](int b) { return circuits::sqrt_circuit(b); }},
-    {"square", 20, [](int b) { return circuits::square(b); }},
-    {"arbiter", 32, [](int b) { return circuits::round_robin_arbiter(b); }},
-    {"cavlc", 0, [](int) { return circuits::cavlc_like(); }},
-    {"ctrl", 0, [](int) { return circuits::ctrl_like(); }},
-    {"dec", 7, [](int b) { return circuits::decoder(b); }},
-    {"i2c", 0, [](int) { return circuits::i2c_like(); }},
-    {"int2float", 0, [](int) { return circuits::int2float_like(); }},
-    {"mem_ctrl", 0, [](int) { return circuits::mem_ctrl_like(); }},
-    {"priority", 64, [](int b) { return circuits::priority_encoder(b); }},
-    {"router", 0, [](int) { return circuits::router_like(); }},
-    {"voter", 63, [](int b) { return circuits::voter(b); }},
-};
 
 void load_network(FlowContext& ctx, Network net) {
   ctx.net = std::move(net);
@@ -115,18 +84,19 @@ void register_core_passes(PassRegistry& registry) {
             if (bits < 0) {
               throw FlowError("gen: bits must be >= 0");
             }
-            for (const Generator& g : kGenerators) {
-              if (name != g.name) continue;
-              const int width =
-                  bits > 0 ? static_cast<int>(bits) : g.default_bits;
-              load_network(ctx, g.make(width));
+            for (const circuits::CircuitFamily& f :
+                 circuits::circuit_families()) {
+              if (name != f.name) continue;
+              load_network(ctx, f.make(bits > 0 ? static_cast<int>(bits)
+                                                : f.full_bits));
               ctx.note = "generated " + name;
               return;
             }
             std::string known;
-            for (const Generator& g : kGenerators) {
+            for (const circuits::CircuitFamily& f :
+                 circuits::circuit_families()) {
               if (!known.empty()) known += ", ";
-              known += g.name;
+              known += f.name;
             }
             throw FlowError("gen: unknown circuit '" + name +
                             "' (known: " + known + ")");
@@ -149,13 +119,21 @@ void register_core_passes(PassRegistry& registry) {
   });
 
   // --- transforms -----------------------------------------------------------
+  // After map_lut, strash re-expresses the LUT mapping as an AIG, as ABC's
+  // `strash` does after `if`: the LUT cover's redundant structure is what
+  // Table II's remapping starts from.  Not parallel_ok: a shard never sees
+  // the mapping.
   registry.add({
       .name = "strash",
-      .summary = "re-hash the network and drop dangling nodes",
+      .summary = "re-hash the network and drop dangling nodes (after map_lut: "
+                 "the LUT mapping as an AIG)",
       .kind = PassKind::kTransform,
-      .parallel_ok = true,
-      .run = [](FlowContext& ctx,
-                const PassArgs&) { ctx.net = cleanup(ctx.net); },
+      .run =
+          [](FlowContext& ctx, const PassArgs&) {
+            ctx.net = ctx.luts
+                          ? expand_to_aig(lut_network_to_network(*ctx.luts))
+                          : cleanup(ctx.net);
+          },
   });
 
   registry.add({
@@ -171,6 +149,14 @@ void register_core_passes(PassRegistry& registry) {
           [](FlowContext& ctx, const PassArgs& args) {
             ctx.net = convert_basis(ctx.net, args.get_basis("basis"));
           },
+  });
+
+  registry.add({
+      .name = "detect_xors",
+      .summary = "promote 3-AND XOR patterns to XOR2 nodes (AIG -> XAG)",
+      .kind = PassKind::kTransform,
+      .run = [](FlowContext& ctx,
+                const PassArgs&) { ctx.net = detect_xors(ctx.net); },
   });
 
   // --- analysis -------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include "mcs/circuits/circuits.hpp"
 #include "mcs/circuits/wordlib.hpp"
 #include "mcs/common/rng.hpp"
+#include "mcs/flow/flow.hpp"
 #include "mcs/network/network_utils.hpp"
 #include "mcs/sim/simulator.hpp"
 
@@ -208,7 +209,7 @@ TEST(WordLib, ArbiterGrantsOneRequestor) {
 }
 
 TEST(Circuits, SuiteHasTwentyNamedCircuits) {
-  const auto suite = circuits::epfl_suite_small();
+  const auto suite = circuits::epfl_suite(0.35);
   ASSERT_EQ(suite.size(), 20u);
   const char* expected[] = {"adder",   "bar",        "div",      "hyp",
                             "log2",    "max",        "multiplier", "sin",
@@ -219,6 +220,22 @@ TEST(Circuits, SuiteHasTwentyNamedCircuits) {
     EXPECT_EQ(suite[i].name, expected[i]);
     EXPECT_GT(suite[i].net.num_gates(), 0u) << suite[i].name;
     EXPECT_GT(suite[i].net.num_pos(), 0u) << suite[i].name;
+  }
+}
+
+TEST(Circuits, SuiteGenStagesRebuildTheirNetworks) {
+  // Benches build their flow specs from these stages; a width-less `gen`
+  // gives the full-scale circuit.
+  for (const double scale : {0.05, 0.3, 0.6, 0.9, 1.0}) {
+    for (const auto& bc : circuits::epfl_suite(scale)) {
+      flow::FlowContext ctx;
+      ASSERT_TRUE(flow::run_flow(bc.gen, ctx).ok) << bc.gen;
+      EXPECT_TRUE(structurally_identical(ctx.net, bc.net)) << bc.gen;
+      if (scale == 1.0) {
+        ASSERT_TRUE(flow::run_flow("gen:" + bc.name, ctx).ok) << bc.name;
+        EXPECT_TRUE(structurally_identical(ctx.net, bc.net)) << bc.name;
+      }
+    }
   }
 }
 

@@ -22,6 +22,7 @@
 #include "mcs/circuits/circuits.hpp"
 #include "mcs/flow/flow.hpp"
 #include "mcs/map/lut_mapper.hpp"
+#include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
 #include "mcs/opt/optimize.hpp"
 #include "mcs/par/par_engine.hpp"
@@ -95,7 +96,7 @@ TEST(FlowRegistry, CoversTheWholeShellVocabulary) {
        {"gen", "read_aiger", "write_aiger", "write_blif", "write_verilog",
         "ps", "strash", "to", "balance", "rewrite", "refactor", "resub",
         "compress2rs", "dch", "mch", "map_lut", "map_asic", "graph_map",
-        "threads", "partsize", "cec", "seed", "par"}) {
+        "threads", "partsize", "cec", "seed", "par", "detect_xors"}) {
     EXPECT_NE(PassRegistry::instance().find(name), nullptr) << name;
   }
 }
@@ -174,6 +175,8 @@ TEST(FlowSpec, MalformedSpecsThrowBeforeExecution) {
   EXPECT_THROW(Flow::parse("par:pass=rewrite,k=junk"), FlowError);
   EXPECT_THROW(Flow::parse("par:pass=map_asic"), FlowError);  // cells
   EXPECT_THROW(Flow::parse("par:pass=par"), FlowError);  // no nesting
+  // A shard never sees the LUT mapping that strash expands.
+  EXPECT_THROW(Flow::parse("par:pass=strash"), FlowError);
 }
 
 TEST(FlowSpec, EveryParsedStageIsARegistryHit) {
@@ -266,6 +269,37 @@ TEST(FlowRun, TransformsInvalidateStaleMappings) {
   EXPECT_FALSE(ctx.luts.has_value());
   EXPECT_EQ(report.stages.back().note, "equivalent");  // not "(LUT network)"
   EXPECT_EQ(report.stages.back().luts, 0u);
+}
+
+TEST(FlowRun, StrashExpandsALutMappingToItsAig) {
+  FlowContext ctx;
+  ASSERT_TRUE(flow::run_flow("gen:adder,bits=8; map_lut:k=4", ctx).ok);
+  const Network expected = expand_to_aig(lut_network_to_network(*ctx.luts));
+  const FlowReport report = flow::run_flow("strash; cec", ctx);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_TRUE(structurally_identical(ctx.net, expected));
+  EXPECT_FALSE(ctx.luts.has_value());
+  EXPECT_EQ(report.stages.back().note, "equivalent");
+}
+
+TEST(FlowRun, StrashWithoutAMappingRehashes) {
+  FlowContext ctx;
+  ASSERT_TRUE(flow::run_flow("gen:sin,bits=6; rewrite", ctx).ok);
+  const Network expected = cleanup(ctx.net);
+  ASSERT_TRUE(flow::run_flow("strash", ctx).ok);
+  EXPECT_TRUE(structurally_identical(ctx.net, expected));
+}
+
+TEST(FlowRun, DetectXorsBuildsAnXag) {
+  FlowContext ctx;
+  const FlowReport report = flow::run_flow(
+      "gen:sin,bits=6; to:basis=aig; detect_xors; ps; cec", ctx);
+  ASSERT_TRUE(report.ok) << report.error;
+  const std::string& ps = report.stages[3].note;
+  const std::size_t at = ps.find("xor2=");
+  ASSERT_NE(at, std::string::npos) << ps;
+  EXPECT_GT(std::stoul(ps.substr(at + 5)), 0u) << ps;
+  EXPECT_EQ(report.stages[4].note, "equivalent");
 }
 
 TEST(FlowRun, ParStageActsAsItsInnerPassKind) {
