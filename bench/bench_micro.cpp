@@ -228,23 +228,21 @@ void run_kernel_suite(const char* path) {
 
 /// Thread-scaling suite over the end-to-end parallel paths: par_run with
 /// compress2rs_like, par_run_lut with choice-aware lut_map (the work of
-/// `par:pass=compress2rs` and `par:pass=map_lut`), CEC and random
+/// `par:pass=compress2rs` and `par:pass=map_lut`), lut_map's own parallel
+/// passes on the whole MCH network (the work of `map_lut`), CEC and random
 /// simulation on the 64-bit multiplier at 1/2/4/8 threads.  One JSON line
 /// per (bench, threads) pair carrying seconds, speedup vs the run's own
 /// 1-thread time, a determinism check against the 1-thread result, and the
 /// machine's hardware concurrency (committed baselines from small machines
 /// are flagged, not trusted).
-/// MCS_PAR_BENCH_BITS shrinks the multiplier for CI smoke runs.
+/// MCS_PAR_BENCH_BITS (4..128) shrinks the multiplier for CI smoke runs.
 void run_par_suite(const char* path) {
+  const int bits = bench::env_number("MCS_PAR_BENCH_BITS", 64, 4, 128,
+                                     flow::parse_int);
   std::FILE* out = std::fopen(path, "a");
   if (out == nullptr) {
     std::fprintf(stderr, "bench_micro: cannot open %s\n", path);
     std::exit(1);
-  }
-  int bits = 64;
-  if (const char* env = std::getenv("MCS_PAR_BENCH_BITS")) {
-    const int v = std::atoi(env);
-    if (v >= 4 && v <= 128) bits = v;
   }
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
   std::fprintf(stderr,
@@ -305,6 +303,23 @@ void run_par_suite(const char* path) {
         reference = luts;
       }
       emit("par_map_lut_mult", t, s, base, luts == reference);
+    }
+  }
+  {
+    const Network mch = build_mch(net, {});
+    LutNetwork reference;
+    double base = 0.0;
+    for (const int t : thread_counts) {
+      LutMapParams params;
+      params.num_threads = t;
+      bench::Timer timer;
+      const LutNetwork luts = lut_map(mch, params);
+      const double s = timer.seconds();
+      if (t == 1) {
+        base = s;
+        reference = luts;
+      }
+      emit("map_lut_mult", t, s, base, luts == reference);
     }
   }
   {
@@ -369,17 +384,14 @@ void run_par_suite(const char* path) {
 /// run's own 1-thread time and a bit-identity determinism check), and the
 /// proof-heavy workload -- a 256-bit AIG-vs-XMG adder miter whose hundreds
 /// of locally-provable pairs must collapse every PO to constant 0.
-/// MCS_SWEEP_BENCH_BITS shrinks the multiplier for CI smoke runs.
+/// MCS_SWEEP_BENCH_BITS (4..128) shrinks the multiplier for CI smoke runs.
 void run_sweep_suite(const char* path) {
+  const int bits = bench::env_number("MCS_SWEEP_BENCH_BITS", 64, 4, 128,
+                                     flow::parse_int);
   std::FILE* out = std::fopen(path, "a");
   if (out == nullptr) {
     std::fprintf(stderr, "bench_micro: cannot open %s\n", path);
     std::exit(1);
-  }
-  int bits = 64;
-  if (const char* env = std::getenv("MCS_SWEEP_BENCH_BITS")) {
-    const int v = std::atoi(env);
-    if (v >= 4 && v <= 128) bits = v;
   }
   const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
   std::fprintf(stderr,

@@ -32,6 +32,9 @@ inline constexpr int kMaxCutSize = 6;
 struct alignas(64) Cut {
   std::array<NodeId, kMaxCutSize> leaves{};
   std::uint8_t size = 0;
+  /// Copied from a choice-class member's set into its head's (set by cut
+  /// enumeration; leaf merges never set it).
+  bool from_choice = false;
   Tt6 function = 0;          ///< function of the cut root over the leaves
   std::uint64_t signature = 0;  ///< bloom filter over leaf ids
 
@@ -87,6 +90,8 @@ struct alignas(64) Cut {
                       b.leaves.begin());
   }
 };
+
+static_assert(sizeof(Cut) == 64, "a cut fills exactly one cache line");
 
 /// Merges the leaf sets of \p a and \p b into \p out (sorted union).
 /// Returns false when the union exceeds \p max_size.

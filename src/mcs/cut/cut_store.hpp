@@ -19,6 +19,12 @@
 /// spans of earlier nodes (the fanin sets being merged) stay valid while
 /// the new set is assembled.  Cut is trivially copyable, which makes the
 /// grow-by-doubling a plain memcpy.
+///
+/// Passes that build several nodes' sets at once use slot mode instead:
+/// reset_slots() reserves one fixed region per scheduled node up front, a
+/// node builds its set in place in its own slot, and commit_slot()
+/// publishes it.  The arena never moves during such a pass, and distinct
+/// nodes touch distinct slots and spans.
 
 #pragma once
 
@@ -45,6 +51,27 @@ class CutStore {
   void reset(std::size_t num_nodes) {
     size_ = 0;
     spans_.assign(num_nodes, Span{});
+  }
+
+  /// Clears all cut sets and reserves \p num_slots slots of \p slot_size
+  /// cuts each (slot mode).  The buffer is kept when it is large enough.
+  void reset_slots(std::size_t num_nodes, std::size_t num_slots,
+                   std::size_t slot_size) {
+    reset(num_nodes);
+    slot_size_ = slot_size;
+    if (num_slots * slot_size > capacity_) reallocate(num_slots * slot_size);
+  }
+
+  /// The first cut of slot \p i (see reset_slots()).
+  Cut* slot(std::size_t i) const noexcept {
+    return arena_.get() + i * slot_size_;
+  }
+
+  /// Publishes the first \p count cuts of slot \p i as node \p n's set.
+  /// Threads may commit distinct nodes concurrently.
+  void commit_slot(NodeId n, std::size_t i, std::size_t count) noexcept {
+    spans_[n] = {static_cast<std::uint32_t>(i * slot_size_),
+                 static_cast<std::uint32_t>(count)};
   }
 
   /// The committed cut set of \p n (empty if never committed).
@@ -87,13 +114,17 @@ class CutStore {
   void grow(std::size_t needed) {
     std::size_t cap = capacity_ == 0 ? 1024 : capacity_ * 2;
     while (cap < needed) cap *= 2;
+    reallocate(cap);
+  }
+
+  void reallocate(std::size_t cap) {
     std::unique_ptr<Cut[]> next(new Cut[cap]);
     if (size_ != 0) {
       std::memcpy(next.get(), arena_.get(), size_ * sizeof(Cut));
     }
     arena_ = std::move(next);
     capacity_ = cap;
-    // Growth is doubling-rare; a gauge write here is free in practice.
+    // Reallocation is rare; a gauge write here is free in practice.
     const auto bytes = static_cast<std::int64_t>(capacity_ * sizeof(Cut));
     obs::gauge("cut.arena_bytes_max").set_max(bytes);
     obs::domain_peak_max(obs::DomainPeak::kArenaBytes, bytes);
@@ -102,6 +133,7 @@ class CutStore {
   std::unique_ptr<Cut[]> arena_;
   std::size_t size_ = 0;
   std::size_t capacity_ = 0;
+  std::size_t slot_size_ = 0;  ///< cuts per slot in slot mode
   std::vector<Span> spans_;
 };
 

@@ -526,12 +526,18 @@ std::optional<StageReport> check_interrupted(FlowContext& ctx,
 
 StageReport run_stage_txn(FlowContext& ctx, const PassInfo& pass,
                           const PassArgs& args) {
-  // Disabled (the default) or non-mutating: exactly run_stage, one branch.
-  if (!ctx.txn.snapshot || !mutates_network(stage_kind(pass, args))) {
+  // Disabled (the default), or a stage with nothing to recover:
+  // exactly run_stage, one branch.
+  const PassKind kind = stage_kind(pass, args);
+  const bool mutates = mutates_network(kind);
+  if (!ctx.txn.snapshot || !(mutates || kind == PassKind::kMapping)) {
     return run_stage(ctx, pass, args);
   }
 
-  const std::vector<std::uint8_t> blob = ckpt::snapshot(ctx.net);
+  // A mapping stage leaves the network alone and sets its artifact only
+  // on success, so it is re-run or skipped without a snapshot.
+  const std::vector<std::uint8_t> blob =
+      mutates ? ckpt::snapshot(ctx.net) : std::vector<std::uint8_t>{};
   // A source stage overwrites the `cec`/`sim` reference network as well;
   // sources are cheap enough that a plain copy beats a second blob here.
   std::optional<Network> original_before;
@@ -547,9 +553,11 @@ StageReport run_stage_txn(FlowContext& ctx, const PassInfo& pass,
     // Roll back: the pass may have torn the working network arbitrarily
     // before failing; the snapshot restores the exact pre-stage structure
     // (ids, levels, choices and all -- see snapshot.hpp).
-    ctx.net = ckpt::restore(blob);
-    if (pass.kind == PassKind::kSource) ctx.original = original_before;
-    txn_metrics().rollbacks.increment();
+    if (mutates) {
+      ctx.net = ckpt::restore(blob);
+      if (pass.kind == PassKind::kSource) ctx.original = original_before;
+      txn_metrics().rollbacks.increment();
+    }
 
     if (ctx.txn.on_failure == TxnPolicy::OnFailure::kRetry &&
         attempts < ctx.txn.max_retries) {

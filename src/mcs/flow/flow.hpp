@@ -270,8 +270,10 @@ struct TxnPolicy {
 
   /// Snapshot the working network before every mutating stage (source /
   /// transform / choice kinds) so it can be rolled back.  The on_failure
-  /// policies require it; validate/sim_words also work standalone (a
-  /// violation then simply fails the stage, with nothing to roll back to).
+  /// policies require it, and also apply to mapping stages, which leave
+  /// the network alone and need no snapshot.  validate/sim_words also work
+  /// standalone (a violation then simply fails the stage, with nothing to
+  /// roll back to).
   bool snapshot = false;
 
   /// Run Network::check() after every stage; a violation fails the stage

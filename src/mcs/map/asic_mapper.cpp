@@ -409,6 +409,7 @@ class AsicMapper {
   }
 
   void mapping_pass(Mode mode) {
+    obs::Span span("cut:enum");
     // Persistent enumerator: reset() keeps the cut arena across passes.
     enumerator_.reset();
     // Priority cuts: rank every cut by the cost of its best library match,
@@ -498,6 +499,7 @@ class AsicMapper {
         }
       }
     }
+    enumerator_.count_pass(order_.size());
   }
 
   void compute_required() {

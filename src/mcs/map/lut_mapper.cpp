@@ -1,12 +1,15 @@
 #include "mcs/map/lut_mapper.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <functional>
 #include <limits>
-#include <span>
+#include <memory>
 
 #include "mcs/cut/enumeration.hpp"
 #include "mcs/network/network_utils.hpp"
+#include "mcs/par/thread_pool.hpp"
 #include "mcs/resyn/strategies.hpp"
 
 namespace mcs {
@@ -67,6 +70,55 @@ struct NodeState {
   bool has_cut = false;
 };
 
+/// Cut ranking of one node under a pass's costs.
+struct CutOrder {
+  bool delay_first;  ///< delay, then area flow (first pass, delay objective)
+  float required;    ///< the node's required time (area-first ranking)
+
+  bool operator()(const Cut& a, const Cut& b) const noexcept {
+    // Trivial cuts always rank last: they cannot implement the node.
+    if (a.is_trivial() != b.is_trivial()) return b.is_trivial();
+    if (delay_first) {
+      if (a.delay != b.delay) return a.delay < b.delay;
+      if (a.area_flow != b.area_flow) return a.area_flow < b.area_flow;
+    } else {
+      // Area first, but never violate this node's required time.  When
+      // neither cut is feasible, race back toward feasibility (delay
+      // first) so slack violations cannot snowball across passes.
+      const bool a_ok = a.delay <= required;
+      const bool b_ok = b.delay <= required;
+      if (a_ok != b_ok) return a_ok;
+      if (!a_ok) {
+        if (a.delay != b.delay) return a.delay < b.delay;
+        if (a.area_flow != b.area_flow) return a.area_flow < b.area_flow;
+      } else {
+        if (a.area_flow != b.area_flow) return a.area_flow < b.area_flow;
+        if (a.delay != b.delay) return a.delay < b.delay;
+      }
+    }
+    return a.size < b.size;
+  }
+};
+
+/// \p order stably sorted by dependency depth: nodes of one depth never
+/// depend on each other, and every dependency of a node comes before it.
+std::vector<NodeId> depth_schedule(const Network& net,
+                                   const std::vector<NodeId>& order,
+                                   bool follow_choices) {
+  const std::vector<std::uint32_t> depth =
+      dependency_depth(net, order, follow_choices);
+  std::vector<NodeId> schedule = order;
+  std::stable_sort(schedule.begin(), schedule.end(),
+                   [&](NodeId a, NodeId b) { return depth[a] < depth[b]; });
+  return schedule;
+}
+
+inline void spin_pause() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
 class LutMapper {
  public:
   LutMapper(const Network& net, const LutMapParams& params)
@@ -77,7 +129,22 @@ class LutMapper {
                                   : topo_order(net)),
         enumerator_(net, {.cut_size = params.lut_size,
                           .cut_limit = params.cut_limit,
-                          .use_choices = params.use_choices}) {
+                          .use_choices = params.use_choices}),
+        flags_(new std::atomic<std::uint32_t>[net.size()]) {
+    // One participant per thread, but never more than there are chunks.
+    const std::size_t chunks = (order_.size() + kChunk - 1) / kChunk;
+    const std::size_t participants = std::max<std::size_t>(
+        1, std::min(ThreadPool::resolve_threads(params.num_threads), chunks));
+    // Any topological order is a valid schedule.  The depth order lets
+    // participants work side by side; alone, one keeps the DFS order, whose
+    // fanin cut sets are still in cache.
+    schedule_ = participants > 1
+                    ? depth_schedule(net, order_, params.use_choices)
+                    : order_;
+    workers_.reserve(participants);
+    for (std::size_t p = 0; p < participants; ++p) {
+      workers_.emplace_back(enumerator_);
+    }
     // Fanout estimates seeded from the PO-reachable original graph only:
     // choice cones are mutually exclusive alternatives and counting their
     // edges would fake sharing no single cover can realize.
@@ -119,18 +186,19 @@ class LutMapper {
     };
 
     // Pass 1: depth-oriented (also initializes area flow).
-    mapping_pass(Mode::kDelayFlow);
+    flow_pass(/*delay_first=*/params_.objective ==
+              LutMapParams::Objective::kDelay);
     compute_cover_and_required();
     harvest();
     // Area-flow recovery.
     for (int i = 0; i < params_.area_flow_rounds; ++i) {
-      mapping_pass(Mode::kAreaFlow);
+      flow_pass(/*delay_first=*/false);
       compute_cover_and_required();
       harvest();
     }
     // Exact-area recovery.
     for (int i = 0; i < params_.exact_area_rounds; ++i) {
-      mapping_pass(Mode::kExactArea);
+      exact_area_pass();
       compute_cover_and_required();
       harvest();
     }
@@ -139,7 +207,18 @@ class LutMapper {
   }
 
  private:
-  enum class Mode { kDelayFlow, kAreaFlow, kExactArea };
+  /// Schedule positions claimed at once by a flow-pass participant.
+  static constexpr std::size_t kChunk = 16;
+  /// Polls of an unpublished dependency before the participant blocks.
+  static constexpr int kSpins = 128;
+
+  /// Publication states of a node in a flow pass.
+  enum : std::uint32_t {
+    kPending = 0,
+    kWaited = 1,  ///< pending, and a participant blocks on it
+    kDone = 2,
+    kAborted = 3,  ///< a participant failed; everyone leaves the pass
+  };
 
   float cut_delay(const Cut& c) const {
     float d = 0.0f;
@@ -190,88 +269,161 @@ class LutMapper {
     return a;
   }
 
-  void mapping_pass(Mode mode) {
-    // One persistent enumerator across passes: reset() keeps the cut arena
-    // buffer, so recovery passes re-enumerate without allocating.
-    enumerator_.reset();
+  /// Makes the front of \p n's fresh cut set its best cut.
+  void take_best(NodeId n) {
+    auto& st = state_[n];
+    if (!net_.is_gate(n)) {
+      st.arrival = 0.0f;
+      st.area_flow = 0.0f;
+      st.has_cut = false;
+      return;
+    }
+    const Cut& best = enumerator_.cuts(n).front();
+    assert(!best.is_trivial());
+    st.best = best;
+    st.arrival = best.delay;
+    st.area_flow = best.area_flow;
+    st.has_cut = true;
+  }
 
-    auto annotate = [&](NodeId n, Cut& c) {
+  /// A delay or area-flow pass.  A node's costs read only the arrivals and
+  /// area flows of its cut leaves, which its fanins and class members
+  /// computed earlier in the pass, and it writes only its own state and
+  /// cut slot.  So the schedule runs as one pool batch: participants
+  /// claim chunks of it in order and wait, per node, for its dependencies
+  /// to be published.  The lowest unfinished node can always run, so no
+  /// barrier per depth level is needed, and the result is that of any
+  /// serial topological order, whatever the thread count.
+  void flow_pass(bool delay_first) {
+    obs::Span span("cut:enum");
+    enumerator_.reset_slots(schedule_.size());
+    for (const NodeId n : schedule_) {
+      flags_[n].store(kPending, std::memory_order_relaxed);
+    }
+    auto annotate = [this](NodeId n, Cut& c) {
       if (!net_.is_gate(n)) {
         c.delay = 0.0f;
         c.area_flow = 0.0f;
         return;
       }
       c.delay = cut_delay(c);
-      c.area_flow = mode == Mode::kExactArea ? cut_exact_area_probe(c)
-                                             : cut_area_flow(c);
+      c.area_flow = cut_area_flow(c);
     };
-
-    const bool delay_first =
-        mode == Mode::kDelayFlow &&
-        params_.objective == LutMapParams::Objective::kDelay;
-
-    auto better = [&, delay_first](const Cut& a, const Cut& b) {
-      // Trivial cuts always rank last: they cannot implement the node.
-      if (a.is_trivial() != b.is_trivial()) return b.is_trivial();
-      if (delay_first) {
-        if (a.delay != b.delay) return a.delay < b.delay;
-        if (a.area_flow != b.area_flow) return a.area_flow < b.area_flow;
-      } else {
-        // Area first, but never violate this node's required time.  When
-        // neither cut is feasible, race back toward feasibility (delay
-        // first) so slack violations cannot snowball across passes.
-        const float req = req_of_current_;
-        const bool a_ok = a.delay <= req;
-        const bool b_ok = b.delay <= req;
-        if (a_ok != b_ok) return a_ok;
-        if (!a_ok) {
-          if (a.delay != b.delay) return a.delay < b.delay;
-          if (a.area_flow != b.area_flow) return a.area_flow < b.area_flow;
-        } else {
-          if (a.area_flow != b.area_flow) return a.area_flow < b.area_flow;
-          if (a.delay != b.delay) return a.delay < b.delay;
+    const std::size_t num_chunks = (schedule_.size() + kChunk - 1) / kChunk;
+    std::atomic<std::size_t> cursor{0};
+    std::atomic<bool> aborted{false};
+    const std::function<void(std::size_t)> participant = [&](std::size_t p) {
+      CutEnumerator::Worker& worker = workers_[p];
+      try {
+        for (;;) {
+          const std::size_t chunk =
+              cursor.fetch_add(1, std::memory_order_relaxed);
+          if (chunk >= num_chunks || aborted.load(std::memory_order_relaxed)) {
+            return;
+          }
+          const std::size_t end =
+              std::min(schedule_.size(), (chunk + 1) * kChunk);
+          for (std::size_t i = chunk * kChunk; i < end; ++i) {
+            const NodeId n = schedule_[i];
+            if (!await_dependencies(n)) return;
+            // LUT costs derive from leaf arrivals/areas only, so the
+            // enumerator may defer truth-table derivation past admission.
+            enumerator_.run_slot(worker, i, n, LeafOnlyAnnotate{annotate},
+                                 CutOrder{delay_first, state_[n].required});
+            take_best(n);
+            publish(n, kDone);
+          }
         }
+      } catch (...) {
+        // Release every waiter; submit_bulk rethrows the failure.
+        aborted.store(true, std::memory_order_relaxed);
+        for (const NodeId n : schedule_) publish(n, kAborted);
+        throw;
       }
-      return a.size < b.size;
     };
+    ThreadPool::global().submit_bulk(workers_.size(), participant,
+                                     workers_.size());
+    enumerator_.count_pass(schedule_.size());
+  }
 
-    // Drive the enumeration node by node so `req_of_current_` is correct.
-    // In the exact-area mode the node's current cut is temporarily removed
-    // from the live cover so probes measure true marginal area, and the
-    // winning cut is re-referenced afterwards (incremental cover update).
-    const bool exact = mode == Mode::kExactArea;
+  /// Waits until the fanins of \p n (and, with choices, its class members)
+  /// are published; false when the pass aborted.
+  bool await_dependencies(NodeId n) {
+    const Node& nd = net_.node(n);
+    for (int i = 0; i < nd.num_fanins; ++i) {
+      if (!await(nd.fanin[i].node())) return false;
+    }
+    if (params_.use_choices && net_.is_repr(n)) {
+      for (NodeId m = nd.next_choice; m != kNullNode;
+           m = net_.node(m).next_choice) {
+        if (!await(m)) return false;
+      }
+    }
+    return true;
+  }
+
+  /// Spins briefly on \p d's flag, then blocks, so long waits cost no CPU
+  /// time.  False when the pass aborted.
+  bool await(NodeId d) {
+    std::atomic<std::uint32_t>& flag = flags_[d];
+    std::uint32_t v = flag.load(std::memory_order_acquire);
+    for (int i = 0; v == kPending && i < kSpins; ++i) {
+      spin_pause();
+      v = flag.load(std::memory_order_acquire);
+    }
+    while (v != kDone) {
+      if (v == kAborted) return false;
+      // Mark the flag so its publisher knows to wake this waiter.
+      if (v == kPending &&
+          !flag.compare_exchange_weak(v, kWaited, std::memory_order_acquire)) {
+        continue;
+      }
+      flag.wait(kWaited, std::memory_order_acquire);
+      v = flag.load(std::memory_order_acquire);
+    }
+    return true;
+  }
+
+  void publish(NodeId n, std::uint32_t state) {
+    if (flags_[n].exchange(state, std::memory_order_release) == kWaited) {
+      flags_[n].notify_all();
+    }
+  }
+
+  /// An exact-area pass, serial in choice-aware topological order: each
+  /// node's probes read, and its choice updates, one shared
+  /// reference-counted cover, so the result depends on the node order.
+  /// The node's current cut is temporarily removed from the live cover so
+  /// probes measure true marginal area, and the winning cut is
+  /// re-referenced afterwards (incremental cover update).
+  void exact_area_pass() {
+    obs::Span span("cut:enum");
+    enumerator_.reset();
+    auto annotate = [this](NodeId n, Cut& c) {
+      if (!net_.is_gate(n)) {
+        c.delay = 0.0f;
+        c.area_flow = 0.0f;
+        return;
+      }
+      c.delay = cut_delay(c);
+      c.area_flow = cut_exact_area_probe(c);
+    };
     for (const NodeId n : order_) {
-      req_of_current_ = state_[n].required;
       auto& st = state_[n];
-      const bool in_cover = exact && net_.is_gate(n) && st.map_refs > 0;
+      const bool in_cover = net_.is_gate(n) && st.map_refs > 0;
       if (in_cover) {
         const Cut& c = st.best;
         for (int i = 0; i < c.size; ++i) area_deref(c.leaves[i]);
       }
-      // LUT costs derive from leaf arrivals/areas only, so the enumerator
-      // may defer truth-table derivation past the whole admission.
-      enumerator_.run_single(n, LeafOnlyAnnotate{annotate}, better);
-      const std::span<const Cut> cuts = enumerator_.cuts(n);
-      if (!net_.is_gate(n)) {
-        st.arrival = 0.0f;
-        st.area_flow = 0.0f;
-        st.has_cut = false;
-        continue;
-      }
-      assert(cuts.size() >= 2 || !cuts.front().is_trivial());
-      const Cut& best = cuts.front();
-      assert(!best.is_trivial());
-      st.best = best;
-      st.arrival = best.delay;
-      st.area_flow = best.area_flow;
-      st.has_cut = true;
+      enumerator_.run_single(n, LeafOnlyAnnotate{annotate},
+                             CutOrder{false, st.required});
+      take_best(n);
       if (in_cover) {
         const Cut& c = st.best;
         for (int i = 0; i < c.size; ++i) area_ref(c.leaves[i]);
       }
     }
-    // Cut sets are not retained across passes (priority cuts): the next
-    // pass re-enumerates with updated costs.
+    enumerator_.count_pass(order_.size());
   }
 
   /// Extracts the current cover to compute map_refs and required times.
@@ -379,9 +531,9 @@ class LutMapper {
         for (int i = 0; i < c.size; ++i) {
           lut.inputs.push_back(ref[c.leaves[i]]);
         }
-        // A cut that survives from a choice member covers nodes outside
-        // the representative's own cone.
-        if (params_.use_choices && net_.has_choice(n)) ++choice_cuts;
+        // A cut merged from a choice member covers nodes outside the
+        // representative's own cone.
+        if (c.from_choice) ++choice_cuts;
         ref[n] = static_cast<std::int32_t>(out.num_pis + out.luts.size());
         out.luts.push_back(std::move(lut));
         stack.pop_back();
@@ -421,9 +573,11 @@ class LutMapper {
   const Network& net_;
   LutMapParams params_;
   std::vector<NodeState> state_;
-  std::vector<NodeId> order_;
+  std::vector<NodeId> order_;     ///< exact-area passes: choice-aware topo
+  std::vector<NodeId> schedule_;  ///< flow passes: order_ sorted by depth
   CutEnumerator enumerator_;
-  float req_of_current_ = kInf;
+  std::vector<CutEnumerator::Worker> workers_;  ///< one per participant
+  std::unique_ptr<std::atomic<std::uint32_t>[]> flags_;  ///< per node
   float target_delay_ = -1.0f;  ///< frozen after the first delay pass
 };
 

@@ -2,7 +2,8 @@
 /// \brief Choice-aware K-LUT technology mapping (paper, Algorithm 3).
 ///
 /// A classic priority-cuts FPGA mapper (delay pass, area-flow recovery,
-/// exact-area recovery) extended with MCH support: cut sets of choice-class
+/// exact-area recovery; the first two kinds of pass run on num_threads
+/// threads) extended with MCH support: cut sets of choice-class
 /// members are folded into their representatives before ranking, so a cut
 /// originating from an XMG candidate competes on equal terms with the
 /// original AIG structure and wins exactly when its technology cost (LUT
@@ -32,6 +33,11 @@ struct LutMapParams {
 
   int area_flow_rounds = 2;
   int exact_area_rounds = 2;
+
+  /// Threads for the delay and area-flow passes (the exact-area passes run
+  /// serially); values < 1 resolve via ThreadPool::resolve_threads().  The
+  /// mapping is the same for every value.
+  int num_threads = 1;
 };
 
 /// A mapped LUT network.  Reference space: 0..num_pis-1 are the PIs,

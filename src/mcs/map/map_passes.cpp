@@ -24,7 +24,8 @@ namespace mcs::flow {
 void register_map_passes(PassRegistry& registry) {
   registry.add({
       .name = "map_lut",
-      .summary = "choice-aware K-LUT mapping",
+      .summary = "choice-aware K-LUT mapping (delay and area-flow passes on "
+                 "the flow's threads, exact-area passes serial)",
       .kind = PassKind::kMapping,
       .params = {{.key = "k",
                   .type = ParamType::kInt,
@@ -44,6 +45,7 @@ void register_map_passes(PassRegistry& registry) {
             LutMapParams params;
             params.lut_size = static_cast<int>(args.get_int("k"));
             params.use_choices = args.get_bool("choices");
+            params.num_threads = ctx.par.num_threads;
             const std::string obj = args.get_string("obj");
             if (obj == "delay") {
               params.objective = LutMapParams::Objective::kDelay;

@@ -118,6 +118,27 @@ std::vector<NodeId> choice_topo_order(const Network& net) {
   return v.take();
 }
 
+std::vector<std::uint32_t> dependency_depth(const Network& net,
+                                            const std::vector<NodeId>& order,
+                                            bool follow_choices) {
+  std::vector<std::uint32_t> depth(net.size(), 0);
+  for (const NodeId n : order) {
+    const Node& nd = net.node(n);
+    std::uint32_t d = 0;
+    for (int i = 0; i < nd.num_fanins; ++i) {
+      d = std::max(d, depth[nd.fanin[i].node()] + 1);
+    }
+    if (follow_choices && net.is_repr(n)) {
+      for (NodeId m = nd.next_choice; m != kNullNode;
+           m = net.node(m).next_choice) {
+        d = std::max(d, depth[m] + 1);
+      }
+    }
+    depth[n] = d;
+  }
+  return depth;
+}
+
 bool reaches(const Network& net, NodeId from, NodeId target) {
   if (from == target) return true;
   net.new_traversal();
@@ -144,30 +165,7 @@ ChoiceGuard::ChoiceGuard(Network& net) : net_(net) { rank_all(); }
 void ChoiceGuard::rank_all() {
   TopoVisitor v(net_, /*follow_choices=*/true);
   for (NodeId n = 0; n < net_.size(); ++n) v.visit(n);
-  const std::vector<NodeId> order = v.take();
-  // Dependency depth, then a stable counting sort of the order by it.
-  std::vector<std::uint32_t> depth(net_.size(), 0);
-  std::uint32_t max_depth = 0;
-  for (const NodeId n : order) {
-    const Node& nd = net_.node(n);
-    std::uint32_t d = 0;
-    for (int i = 0; i < nd.num_fanins; ++i) {
-      d = std::max(d, depth[nd.fanin[i].node()] + 1);
-    }
-    if (net_.is_repr(n)) {
-      for (NodeId m = nd.next_choice; m != kNullNode;
-           m = net_.node(m).next_choice) {
-        d = std::max(d, depth[m] + 1);
-      }
-    }
-    depth[n] = d;
-    max_depth = std::max(max_depth, d);
-  }
-  std::vector<std::uint32_t> next(max_depth + 2, 0);
-  for (const NodeId n : order) ++next[depth[n] + 1];
-  for (std::size_t d = 1; d < next.size(); ++d) next[d] += next[d - 1];
-  rank_.assign(net_.size(), 0);
-  for (const NodeId n : order) rank_[n] = next[depth[n]]++;
+  rank_ = dependency_depth(net_, v.take(), /*follow_choices=*/true);
   stale_ = false;
 }
 

@@ -259,6 +259,31 @@ TEST(FlowRun, MetricsScopeSaysWhichAccumulatorStagesRead) {
             std::string::npos);
 }
 
+#ifndef MCS_OBS_DISABLE  // counters are no-op stubs in the disabled build
+TEST(FlowRun, MappingStagesCountTheirCutEnumerationPasses) {
+  // One delay, two area-flow and two exact-area passes; the ASIC mapper
+  // runs the same three kinds of pass.
+  FlowContext ctx;
+  const FlowReport report = flow::run_flow(
+      "threads:n=2; gen:multiplier,bits=6; map_lut:k=4; map_asic", ctx);
+  ASSERT_TRUE(report.ok) << report.error;
+  auto counter = [](const flow::StageReport& stage, const char* name) {
+    for (const obs::MetricValue& mv : stage.metrics.counters) {
+      if (mv.name == name) return mv.value;
+    }
+    return std::int64_t{0};
+  };
+  const flow::StageReport& lut = report.stages[2];
+  const auto gates = static_cast<std::int64_t>(ctx.net.size());
+  EXPECT_EQ(counter(lut, "cut.enum_runs"), 5);
+  EXPECT_GT(counter(lut, "cut.nodes_enumerated"), 0);
+  EXPECT_LE(counter(lut, "cut.nodes_enumerated"), 5 * gates);
+  EXPECT_GT(counter(lut, "cut.cuts_stored"),
+            counter(lut, "cut.nodes_enumerated"));
+  EXPECT_EQ(counter(report.stages[3], "cut.enum_runs"), 5);
+}
+#endif
+
 TEST(FlowRun, TransformsInvalidateStaleMappings) {
   // A transform after a mapping must drop the mapped artifacts, so `cec`
   // verifies the *current* network, not a stale LUT mapping.

@@ -193,5 +193,57 @@ TEST(LutMapper, MchWinsOnXorRichLogic) {
   expect_lut_equivalent(net, improved);
 }
 
+/// Makes \p member, which computes the same function as \p head, a member
+/// of head's choice class.
+void attach_choice(Network& net, Signal head, Signal member) {
+  net.add_choice(head.node(), member.node(),
+                 head.complemented() != member.complemented());
+}
+
+/// a ^ b as three AND gates.
+Signal aig_xor(Network& net, Signal a, Signal b) {
+  return net.create_or(net.create_and(a, !b), net.create_and(!a, b));
+}
+
+TEST(LutMapper, ChoiceCutsCountOnlyCutsMergedFromMembers) {
+  // The member's only cut, {a, b}, equals one of the head's own: it is
+  // dominated, so the head keeps its own cut although it has a class.
+  Network net;
+  const Signal a = net.create_pi();
+  const Signal b = net.create_pi();
+  const Signal head = aig_xor(net, a, b);
+  net.create_po(head);
+  attach_choice(net, head, net.create_xor(a, b));
+  LutMapStats stats;
+  const LutNetwork own = lut_map(net, {.lut_size = 2}, &stats);
+  EXPECT_EQ(own.size(), 1u);
+  EXPECT_EQ(stats.num_choice_cuts_used, 0u);
+  expect_lut_equivalent(net, own);
+}
+
+TEST(LutMapper, ChoiceCutsCountAMemberCutThatWins) {
+  // The head computes a ^ b through c, so with 2-LUTs its own cover needs
+  // two LUTs; the XOR2 member's cut {a, b} wins and maps it with one.
+  Network net;
+  const Signal a = net.create_pi();
+  const Signal b = net.create_pi();
+  const Signal c = net.create_pi();
+  const Signal t = aig_xor(net, a, b);
+  const Signal head = net.create_or(net.create_and(t, c),
+                                    net.create_and(t, !c));
+  net.create_po(head);
+  attach_choice(net, head, net.create_xor(a, b));
+  LutMapStats stats;
+  const LutNetwork with_choice = lut_map(net, {.lut_size = 2}, &stats);
+  EXPECT_EQ(with_choice.size(), 1u);
+  EXPECT_EQ(stats.num_choice_cuts_used, 1u);
+  expect_lut_equivalent(net, with_choice);
+
+  const LutNetwork without =
+      lut_map(net, {.lut_size = 2, .use_choices = false}, &stats);
+  EXPECT_EQ(without.size(), 2u);
+  EXPECT_EQ(stats.num_choice_cuts_used, 0u);
+}
+
 }  // namespace
 }  // namespace mcs

@@ -1,9 +1,9 @@
 /// Unit tests for the end-to-end parallel scaling work: the thread pool
 /// (batched fan-out, claim orders, exception determinism, nested batches,
-/// growth, MCS_THREADS), level-blocked parallel random simulation and
-/// CEC with its parallel fraig passes -- each with the 1-vs-N bit-identity
-/// contract -- plus cost-ordered shard scheduling determinism on shards of
-/// shuffled sizes.
+/// growth, MCS_THREADS), level-blocked parallel random simulation, CEC
+/// with its parallel fraig passes and the LUT mapper's parallel passes --
+/// each with the 1-vs-N bit-identity contract -- plus cost-ordered shard
+/// scheduling determinism on shards of shuffled sizes.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +22,8 @@
 #include <vector>
 
 #include "mcs/circuits/circuits.hpp"
+#include "mcs/fail/fail.hpp"
+#include "mcs/flow/flow.hpp"
 #include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
 #include "mcs/opt/optimize.hpp"
@@ -366,6 +368,88 @@ TEST(CostOrderedScheduling, DeterministicOnShuffledShardSizes) {
         << "par_run diverged at " << threads << " threads";
   }
   EXPECT_EQ(check_equivalence(net, r1), CecResult::kEquivalent);
+}
+
+// --- parallel LUT mapping ----------------------------------------------------
+
+/// Runs \p prefix once, then `map_lut:<args>` on copies of its context at
+/// 1, 2, 3, 4 and 8 threads: every mapping must equal the 1-thread one.
+void expect_map_lut_thread_independent(const std::string& prefix,
+                                       const std::string& args) {
+  flow::FlowContext base;
+  const flow::FlowReport made = flow::run_flow(prefix, base);
+  ASSERT_TRUE(made.ok) << made.error;
+  LutNetwork reference;
+  for (const int threads : {1, 2, 3, 4, 8}) {
+    flow::FlowContext ctx = base;
+    const flow::FlowReport report = flow::run_flow(
+        "threads:n=" + std::to_string(threads) + "; map_lut:" + args, ctx);
+    ASSERT_TRUE(report.ok) << report.error;
+    ASSERT_TRUE(ctx.luts.has_value());
+    if (threads == 1) {
+      reference = *ctx.luts;
+      EXPECT_GT(reference.size(), 0u);
+    } else {
+      EXPECT_EQ(*ctx.luts, reference)
+          << prefix << "; map_lut:" << args << " diverged at " << threads
+          << " threads";
+    }
+  }
+}
+
+TEST(ParallelLutMap, MchNetworkMapsEquallyAtAnyThreadCount) {
+  const std::string mch =
+      "gen:multiplier,bits=16; compress2rs:rounds=1; mch:basis=xmg,ratio=0.9";
+  expect_map_lut_thread_independent(mch, "k=6");
+  expect_map_lut_thread_independent(mch, "k=6,obj=delay");
+  expect_map_lut_thread_independent(mch, "k=6,choices=false");
+}
+
+TEST(ParallelLutMap, DchNetworkMapsEquallyAtAnyThreadCount) {
+  expect_map_lut_thread_independent(
+      "gen:sin,bits=8; to:basis=aig; compress2rs:rounds=1,basis=aig; dch",
+      "k=6");
+}
+
+class ParallelLutMapFaults : public ::testing::Test {
+ protected:
+  void TearDown() override { fail::disable(); }
+};
+
+TEST_F(ParallelLutMapFaults, PoolFaultFailsTheStageAndRetryRecovers) {
+  flow::FlowContext base;
+  ASSERT_TRUE(flow::run_flow("gen:multiplier,bits=10; compress2rs:rounds=1; "
+                             "mch:basis=xmg,ratio=0.9",
+                             base)
+                  .ok);
+  flow::FlowContext clean = base;
+  ASSERT_TRUE(flow::run_flow("threads:n=4; map_lut", clean).ok);
+
+  // A participant of the first parallel pass throws before it starts: the
+  // others finish the pass, and the stage fails with the fault.
+  flow::FlowContext failing = base;
+  const flow::FlowReport failed = flow::run_flow(
+      "threads:n=4; faults:spec=pool.task=throw|count=1; map_lut", failing);
+  fail::disable();
+  EXPECT_FALSE(failed.ok);
+  EXPECT_FALSE(failing.luts.has_value());
+
+  // Every participant throws: no node is mapped, and the stage still ends.
+  const flow::FlowReport all_failed = flow::run_flow(
+      "threads:n=4; faults:spec=pool.task=throw; map_lut", failing);
+  fail::disable();
+  EXPECT_FALSE(all_failed.ok);
+
+  // Rolled back and retried, the stage returns the uninjected mapping.
+  flow::FlowContext retried = base;
+  const flow::FlowReport report = flow::run_flow(
+      "ckpt:mode=retry; threads:n=4; faults:spec=pool.task=throw|count=1; "
+      "map_lut",
+      retried);
+  fail::disable();
+  ASSERT_TRUE(report.ok) << report.error;
+  ASSERT_TRUE(retried.luts.has_value());
+  EXPECT_EQ(*retried.luts, *clean.luts);
 }
 
 }  // namespace
