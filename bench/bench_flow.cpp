@@ -8,8 +8,9 @@
 /// Knobs:
 ///   MCS_FLOW_SPEC      override the per-circuit spec; "%s" is replaced by
 ///                      the circuit's `gen` stage (default paper flow)
-///   MCS_FLOW_THREADS   > 1 switches to the partition-parallel variant
-///                      (each step under `par:`) with that worker count
+///   MCS_FLOW_THREADS   > 1 switches to the parallel variant with that
+///                      worker count: optimization and choices under
+///                      `par:`, then `map_lut:k=6` on the same threads
 ///   MCS_FLOW_ONLY      run just the named circuit (e.g. "multiplier") --
 ///                      pairs with MCS_FLOW_SPEC for single-flow timing
 ///   MCS_FLOW_REPEAT    run the suite N times (default 1) and print the
@@ -68,7 +69,7 @@ int main() {
       "; compress2rs:rounds=2; mch:basis=xmg,ratio=0.9; map_lut:k=6; cec";
   const std::string parallel_tail =
       "; par:pass=compress2rs,rounds=2; par:pass=mch,basis=xmg,ratio=0.9; "
-      "par:pass=map_lut,k=6; cec";
+      "map_lut:k=6; cec";
 
   bool all_ok = true;
   double total_seconds = 0.0;

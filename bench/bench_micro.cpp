@@ -227,14 +227,13 @@ void run_kernel_suite(const char* path) {
 // --- par_scaling suite ------------------------------------------------------
 
 /// Thread-scaling suite over the end-to-end parallel paths: par_run with
-/// compress2rs_like, par_run_lut with choice-aware lut_map (the work of
-/// `par:pass=compress2rs` and `par:pass=map_lut`), lut_map's own parallel
-/// passes on the whole MCH network (the work of `map_lut`), CEC and random
-/// simulation on the 64-bit multiplier at 1/2/4/8 threads.  One JSON line
-/// per (bench, threads) pair carrying seconds, speedup vs the run's own
-/// 1-thread time, a determinism check against the 1-thread result, and the
-/// machine's hardware concurrency (committed baselines from small machines
-/// are flagged, not trusted).
+/// compress2rs_like (the work of `par:pass=compress2rs`), lut_map's own
+/// parallel passes on the whole MCH network (the work of `map_lut`), CEC
+/// and random simulation on the 64-bit multiplier at 1/2/4/8 threads.  One
+/// JSON line per (bench, threads) pair carrying seconds, speedup vs the
+/// run's own 1-thread time, a determinism check against the 1-thread
+/// result, and the machine's hardware concurrency (committed baselines from
+/// small machines are flagged, not trusted).
 /// MCS_PAR_BENCH_BITS (4..128) shrinks the multiplier for CI smoke runs.
 void run_par_suite(const char* path) {
   const int bits = bench::env_number("MCS_PAR_BENCH_BITS", 64, 4, 128,
@@ -284,25 +283,6 @@ void run_par_suite(const char* path) {
         reference = result;
       }
       emit("par_opt_mult", t, s, base, structurally_identical(result, reference));
-    }
-  }
-  {
-    LutNetwork reference;
-    double base = 0.0;
-    for (const int t : thread_counts) {
-      ParParams params;
-      params.num_threads = t;
-      params.partition.max_gates = 2000;
-      params.partition.keep_choices = true;
-      bench::Timer timer;
-      const LutNetwork luts = par_run_lut(
-          net, [](const Network& shard) { return lut_map(shard); }, params);
-      const double s = timer.seconds();
-      if (t == 1) {
-        base = s;
-        reference = luts;
-      }
-      emit("par_map_lut_mult", t, s, base, luts == reference);
     }
   }
   {

@@ -1,11 +1,9 @@
 #include "mcs/choice/mch.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "mcs/cut/enumeration.hpp"
 #include "mcs/network/network_utils.hpp"
-#include "mcs/sim/simulator.hpp"
 
 namespace mcs {
 
@@ -106,10 +104,6 @@ Network build_mch(const Network& input, const MchParams& params,
   const StrategyLibrary& area_lib =
       params.area_lib ? *params.area_lib : default_area;
 
-  // Optional defensive verification uses one simulation of the final net;
-  // cheaper to verify per candidate against the cut function, which is
-  // already guaranteed, so we verify classes at the end instead.
-
   // Lines 4 (Algorithm 2): multi-strategy structural choices.
   for (NodeId n = 1; n < original_size; ++n) {
     if (!net.is_gate(n)) continue;
@@ -164,23 +158,6 @@ Network build_mch(const Network& input, const MchParams& params,
         leaves.reserve(mffc.leaves.size());
         for (const NodeId leaf : mffc.leaves) leaves.emplace_back(leaf, false);
         synthesize_from(f, leaves);
-      }
-    }
-  }
-
-  // Defensive verification: every choice class must agree under random
-  // simulation (candidates are correct by construction; this catches
-  // phase-bookkeeping regressions in O(#nodes) time).
-  if (params.verify_candidates) {
-    RandomSimulation sim(net, /*num_words=*/8, /*seed=*/0xabcdef);
-    for (NodeId n = 0; n < net.size(); ++n) {
-      if (!net.has_choice(n)) continue;
-      for (NodeId m = net.node(n).next_choice; m != kNullNode;
-           m = net.node(m).next_choice) {
-        const bool phase = net.node(m).choice_phase;
-        assert(sim.values_equal(Signal(n, false), Signal(m, phase)) &&
-               "MCH candidate disagrees with its representative");
-        (void)phase;
       }
     }
   }

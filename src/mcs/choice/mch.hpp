@@ -47,10 +47,6 @@ struct MchParams {
   /// choice network and mapping time bounded).
   int max_choices_per_node = 4;
 
-  /// Defensively re-verify every accepted candidate by random simulation
-  /// (candidates are correct by construction; this guards the guards).
-  bool verify_candidates = false;
-
   /// Strategy bundles; when null the defaults
   /// (StrategyLibrary::level_oriented / ::area_oriented) are used.
   const StrategyLibrary* level_lib = nullptr;

@@ -2,17 +2,14 @@
 /// \brief Arena-backed cut storage: per-node cut sets as spans into one
 /// contiguous buffer.
 ///
-/// Cut enumeration used to keep a `std::vector<Cut>` per node -- one heap
-/// allocation per node per pass, and fanin cut-set iteration hopping
-/// between unrelated heap blocks.  CutStore replaces that with a single
-/// bump-allocated arena: nodes are enumerated in topological order and each
-/// node's cut set is *built in place* at the arena tail
-/// (alloc_tail/commit_tail), so a node's cuts are contiguous, consecutive
-/// nodes' cuts are adjacent, the fanin spans a merge step walks are
-/// sequential in memory, and publishing a finished set costs nothing (no
-/// copy-out of a working buffer).  The arena grows by doubling and is reset
-/// per enumeration pass without releasing its buffer, so steady-state
-/// passes allocate nothing.
+/// CutStore keeps all cut sets in one bump-allocated arena: nodes are
+/// enumerated in topological order and each node's cut set is *built in
+/// place* at the arena tail (alloc_tail/commit_tail), so a node's cuts are
+/// contiguous, consecutive nodes' cuts are adjacent, the fanin spans a
+/// merge step walks are sequential in memory, and publishing a finished
+/// set costs nothing (no copy-out of a working buffer).  The arena grows
+/// by doubling and is reset per enumeration pass without releasing its
+/// buffer, so steady-state passes allocate nothing.
 ///
 /// alloc_tail() pre-reserves the whole worst-case tail region up front;
 /// until the matching commit_tail() the arena is guaranteed not to move, so

@@ -23,10 +23,8 @@
 ///     enumerator's own; a parallel pass (reset_slots/run_slot) gives each
 ///     participant one and each scheduled node a fixed arena slot.
 ///   - run/run_single are templated on the annotate/compare functors, so
-///     mapper lambdas inline into the merge loop -- no std::function
-///     dispatch per cut.  The AnnotateFn/CompareFn aliases remain for
-///     callers that need runtime-selected hooks (registry-facing code);
-///     they simply instantiate the template with the type-erased functors.
+///     mapper lambdas inline into the merge loop -- no indirect call per
+///     cut.
 ///   - A merged cut's truth table is only derived after the leaf-union +
 ///     signature dominance test admits it: dominated merges (the common
 ///     case on dense networks) cost two leaf merges and a signature check,
@@ -95,10 +93,6 @@ struct CutDefaultBetter {
 
 class CutEnumerator {
  public:
-  // Registry-facing callers that need runtime-selected hooks can pass
-  // (non-empty) std::function objects to the same templates; only that
-  // outer call pays the indirection.
-
   /// One enumeration participant's working set: the cut set under
   /// construction, its packed signature/size side arrays and the merge
   /// scratch.  The serial entry points use the enumerator's own worker; a

@@ -290,6 +290,11 @@ void PassRegistry::add(PassInfo info) {
       check_typed(info.name, spec, spec.default_value);  // throws FlowError
     }
   }
+  if (info.parallel_ok && info.kind != PassKind::kTransform &&
+      info.kind != PassKind::kChoice) {
+    throw std::logic_error("PassRegistry: pass '" + info.name +
+                           "' is parallel_ok but not a transform");
+  }
   passes_.push_back(std::make_unique<PassInfo>(std::move(info)));
   by_name_.emplace(passes_.back()->name, passes_.back().get());
 }
@@ -355,13 +360,6 @@ TxnMetrics& txn_metrics() {
   return m;
 }
 
-/// The kind a stage acts as.  `par` acts as its inner pass: a sharded
-/// mapping keeps the LUTs it made, a sharded transform drops stale ones.
-PassKind stage_kind(const PassInfo& pass, const PassArgs& args) {
-  if (pass.name != "par") return pass.kind;
-  return PassRegistry::instance().find(args.get_string("pass"))->kind;
-}
-
 /// True for pass kinds that mutate the working network (the kinds the
 /// transactional runner snapshots, and whose PO functions the sim spot
 /// check must see preserved -- sources excepted, they replace the network).
@@ -405,9 +403,8 @@ StageReport run_stage(FlowContext& ctx, const PassInfo& pass,
       ctx.domain ? ctx.domain->snapshot() : obs::snapshot();
   const std::uint64_t span_window_start = obs::now_us();
   const auto t0 = std::chrono::steady_clock::now();
-  const PassKind kind = stage_kind(pass, args);
   const bool rewrites =
-      kind == PassKind::kTransform || kind == PassKind::kChoice;
+      pass.kind == PassKind::kTransform || pass.kind == PassKind::kChoice;
   // Sim spot check only guards function-preserving rewrites: transforms and
   // choice builders.  Sources replace the function; mappings/analyses do
   // not touch the network.
@@ -528,9 +525,8 @@ StageReport run_stage_txn(FlowContext& ctx, const PassInfo& pass,
                           const PassArgs& args) {
   // Disabled (the default), or a stage with nothing to recover:
   // exactly run_stage, one branch.
-  const PassKind kind = stage_kind(pass, args);
-  const bool mutates = mutates_network(kind);
-  if (!ctx.txn.snapshot || !(mutates || kind == PassKind::kMapping)) {
+  const bool mutates = mutates_network(pass.kind);
+  if (!ctx.txn.snapshot || !(mutates || pass.kind == PassKind::kMapping)) {
     return run_stage(ctx, pass, args);
   }
 

@@ -25,7 +25,7 @@
 /// Adding a new pass costs one registration: fill a PassInfo (schema +
 /// run lambda over FlowContext) in the subsystem's `*_passes.cpp` and it is
 /// immediately available as a shell command, a flow stage, and -- for
-/// network transforms, choice builders and LUT mapping -- a target of the
+/// network transforms and choice builders -- a target of the
 /// partition-parallel driver (`par:pass=<name>`; see mcs/par/par_engine.hpp).
 
 #pragma once
@@ -88,7 +88,7 @@ struct ParamSpec {
 enum class PassKind {
   kSource,     ///< loads/generates the working network (resets the reference)
   kTransform,  ///< Network -> Network
-  kChoice,     ///< Network -> choice Network (classes must survive stitching)
+  kChoice,     ///< Network -> choice Network (classes must survive reassembly)
   kMapping,    ///< Network -> LutNetwork / CellNetlist
   kAnalysis,   ///< reads state (ps, cec)
   kOutput,     ///< writes files
@@ -150,9 +150,9 @@ struct PassInfo {
   bool allow_extra_args = false;
 
   /// Safe to run per shard under the partition-parallel driver
-  /// (`par:pass=<name>`): network transforms and choice builders, whose
-  /// shards are reassembled, and LUT mapping, whose shard mappings are
-  /// stitched (the stage then acts as the inner pass's kind).
+  /// (`par:pass=<name>`), whose shards are reassembled.  Only network
+  /// transforms and choice builders qualify (registration rejects other
+  /// kinds), so a `par` stage acts as a transform.
   bool parallel_ok = false;
 
   /// Executes the pass.  Failures are reported by throwing FlowError.

@@ -39,7 +39,6 @@ void register_map_passes(PassRegistry& registry) {
                   .type = ParamType::kBool,
                   .default_value = "true",
                   .help = "use choice classes"}},
-      .parallel_ok = true,
       .run =
           [](FlowContext& ctx, const PassArgs& args) {
             LutMapParams params;

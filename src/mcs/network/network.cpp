@@ -221,15 +221,6 @@ void Network::add_choice(NodeId repr, NodeId member, bool phase) {
   ++num_choices_;
 }
 
-void Network::clear_choices() noexcept {
-  for (auto& nd : nodes_) {
-    nd.repr = kNullNode;
-    nd.next_choice = kNullNode;
-    nd.choice_phase = false;
-  }
-  num_choices_ = 0;
-}
-
 bool Network::check(std::string* error) const {
   const auto fail = [&](const std::string& why) {
     if (error != nullptr) *error = why;

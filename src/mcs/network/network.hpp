@@ -369,9 +369,6 @@ class Network {
   /// Total number of choice-class members over all classes.
   std::size_t num_choices() const noexcept { return num_choices_; }
 
-  /// Drops all choice information (links and phases).
-  void clear_choices() noexcept;
-
   /// @}
   /// \name Invariant audit
   /// @{

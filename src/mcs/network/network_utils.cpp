@@ -139,27 +139,6 @@ std::vector<std::uint32_t> dependency_depth(const Network& net,
   return depth;
 }
 
-bool reaches(const Network& net, NodeId from, NodeId target) {
-  if (from == target) return true;
-  net.new_traversal();
-  std::vector<NodeId> stack{from};
-  net.mark(from);
-  while (!stack.empty()) {
-    const NodeId n = stack.back();
-    stack.pop_back();
-    const Node& nd = net.node(n);
-    for (int i = 0; i < nd.num_fanins; ++i) {
-      const NodeId c = nd.fanin[i].node();
-      if (c == target) return true;
-      if (!net.marked(c)) {
-        net.mark(c);
-        stack.push_back(c);
-      }
-    }
-  }
-  return false;
-}
-
 ChoiceGuard::ChoiceGuard(Network& net) : net_(net) { rank_all(); }
 
 void ChoiceGuard::rank_all() {

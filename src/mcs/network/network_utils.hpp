@@ -49,10 +49,6 @@ std::vector<NodeId> collect_cone_nodes(const Network& net,
                                        bool follow_choices,
                                        std::vector<char>& seen);
 
-/// True iff \p target is reachable from \p from by following fanin edges
-/// (i.e. target is in the TFI cone of from, or equals it).
-bool reaches(const Network& net, NodeId from, NodeId target);
-
 /// The acyclicity guard of the MCH construction (paper, Sec. III-A:
 /// candidates must not create covering cycles) for a network that keeps
 /// growing between attaches.

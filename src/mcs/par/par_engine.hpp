@@ -3,20 +3,18 @@
 ///
 /// par_run() shards the input network with partition_network(), runs *any*
 /// network->network pass on every shard via a ThreadPool, and stitches the
-/// results back with reassemble(); par_run_lut() does the same for mapping
-/// passes that produce a LutNetwork per shard.  Because shards are
-/// self-contained Networks and reassembly happens in fixed partition order,
-/// the output is bit-identical for any thread count (see partition.hpp for
-/// the determinism contract); threads only change the wall-clock time.
-/// The flow layer's `par` meta-pass (mcs/flow) drives registered passes
-/// through these two drivers.
+/// results back with reassemble().  Because shards are self-contained
+/// Networks and reassembly happens in fixed partition order, the output is
+/// bit-identical for any thread count (see partition.hpp for the
+/// determinism contract); threads only change the wall-clock time.  The
+/// flow layer's `par` meta-pass (mcs/flow) drives registered transforms and
+/// choice builders through it.
 
 #pragma once
 
 #include <cstddef>
 #include <functional>
 
-#include "mcs/map/lut_mapper.hpp"
 #include "mcs/network/network.hpp"
 #include "mcs/par/partition.hpp"
 
@@ -44,18 +42,5 @@ using ShardPassFn = std::function<Network(const Network&)>;
 Network par_run(const Network& net, const ShardPassFn& pass,
                 const ParParams& params = {}, ParStats* stats = nullptr,
                 const ReassembleOptions& reassemble_opts = {});
-
-/// A mapping pass applied to one shard (same contract as ShardPassFn).
-using ShardMapFn = std::function<LutNetwork(const Network&)>;
-
-/// Generic partition-parallel mapping driver: maps every shard with
-/// \p map_shard and stitches the shard LUT networks over the original
-/// PI/PO interface.  LUTs are structurally hashed on (function, inputs)
-/// after boundary resolution, so LUTs that come out identical are stored
-/// once and every constant PO shares one 0-input LUT.  Choice-aware
-/// mapping needs params.partition.keep_choices so the classes reach the
-/// shards.
-LutNetwork par_run_lut(const Network& net, const ShardMapFn& map_shard,
-                       const ParParams& params = {}, ParStats* stats = nullptr);
 
 }  // namespace mcs

@@ -1,11 +1,12 @@
 /// \file par_passes.cpp
-/// \brief Flow registration for the partition-parallel drivers: the `par`
-/// meta-pass runs any registered pass marked parallel_ok per shard --
-/// transforms and choice builders through par_run(), LUT mapping through
-/// par_run_lut() (`par:pass=rewrite,k=4`, `par:pass=map_lut,k=6`).  Thread
-/// count and shard size come from the FlowContext (`threads` / `partsize`
-/// settings passes).
+/// \brief Flow registration for the partition-parallel driver: the `par`
+/// meta-pass runs any registered transform or choice builder marked
+/// parallel_ok per shard through par_run() (`par:pass=rewrite,k=4`,
+/// `par:pass=mch`).  Thread count and shard size come from the FlowContext
+/// (`threads` / `partsize` settings passes).
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "mcs/flow/flow.hpp"
@@ -45,8 +46,8 @@ const PassInfo& inner_pass_or_throw(const PassArgs& args) {
 void register_par_passes(PassRegistry& registry) {
   registry.add({
       .name = "par",
-      .summary = "run a transform, choice builder or LUT mapper per "
-                 "partition (par:pass=rewrite,k=4)",
+      .summary = "run a transform or choice builder per partition "
+                 "(par:pass=rewrite,k=4)",
       .kind = PassKind::kTransform,
       .params = {{.key = "pass",
                   .type = ParamType::kString,
@@ -58,41 +59,27 @@ void register_par_passes(PassRegistry& registry) {
             const PassInfo& inner = inner_pass_or_throw(args);
             const PassArgs inner_args =
                 PassArgs::bind(inner, forwarded_tokens(args));
-            // The inner pass on one shard, in a context of its own.
-            auto run_on = [&](const Network& shard) {
-              FlowContext sub;
-              sub.seed = ctx.seed;
-              sub.par.num_threads = 1;  // no nested pools
-              sub.net = shard;
-              inner.run(sub, inner_args);
-              return sub;
-            };
             ParParams par = ctx.par;
-            ParStats ps;
-            if (inner.kind == PassKind::kMapping) {
-              // Choice-aware mapping must see the classes in its shard.
+            ReassembleOptions ropts;
+            if (inner.kind == PassKind::kChoice) {
+              // Choice constructions must see existing classes and keep
+              // the ones they add through reassembly.
               par.partition.keep_choices = true;
-              ctx.luts = par_run_lut(
-                  ctx.net,
-                  [&](const Network& shard) {
-                    return run_on(shard).luts.value();
-                  },
-                  par, &ps);
-            } else {
-              ReassembleOptions ropts;
-              if (inner.kind == PassKind::kChoice) {
-                // Choice constructions must see existing classes and keep
-                // the ones they add through reassembly.
-                par.partition.keep_choices = true;
-                ropts.keep_choices = true;
-              }
-              ctx.net = par_run(
-                  ctx.net,
-                  [&](const Network& shard) {
-                    return run_on(shard).net;
-                  },
-                  par, &ps, ropts);
+              ropts.keep_choices = true;
             }
+            ParStats ps;
+            // The inner pass on one shard, in a context of its own.
+            ctx.net = par_run(
+                ctx.net,
+                [&](const Network& shard) {
+                  FlowContext sub;
+                  sub.seed = ctx.seed;
+                  sub.par.num_threads = 1;  // no nested pools
+                  sub.net = shard;
+                  inner.run(sub, inner_args);
+                  return std::move(sub.net);
+                },
+                par, &ps, ropts);
             ctx.note = "par:" + inner.name + ": " +
                        std::to_string(ps.num_partitions) + " partitions on " +
                        std::to_string(ps.num_threads) + " threads";

@@ -6,7 +6,7 @@
 /// sweeping, CEC).  submit_bulk() is its one entry point: one batch object,
 /// on the caller's stack, fans N indexed calls out to the workers *and the
 /// calling thread*; indices are claimed through an atomic cursor, optionally
-/// through a caller-given claim order (the shard drivers pass
+/// through a caller-given claim order (the shard driver passes
 /// largest-shard-first).  No per-call std::function allocation happens.
 ///
 /// Determinism contract: scheduling never influences *what* is computed --
@@ -65,8 +65,8 @@ class ThreadPool {
   /// flushes into on the way out -- is used after the return.
   ///
   /// \p order, when non-null, is a permutation of [0, n): indices are
-  /// *claimed* in that order (the shard drivers pass largest-first so a big
-  /// shard never starts last), which affects scheduling only -- results are
+  /// *claimed* in that order (the shard driver passes largest-first so a
+  /// big shard never starts last), which affects scheduling only -- results are
   /// bit-identical for any order and any thread count.
   ///
   /// With max_workers <= 1, n <= 1, or when called from inside a pool

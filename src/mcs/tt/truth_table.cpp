@@ -39,19 +39,6 @@ TruthTable TruthTable::cofactor1(int var) const {
   return r;
 }
 
-TruthTable TruthTable::flip_var(int var) const {
-  TruthTable r = *this;
-  if (0 <= var && var < kTt6MaxVars) {
-    for (auto& w : r.words_) w = tt6_flip_var(w, var);
-  } else {
-    const std::size_t period = std::size_t{1} << (var - kTt6MaxVars);
-    for (std::size_t i = 0; i < r.words_.size(); ++i) {
-      if (!(i & period)) std::swap(r.words_[i], r.words_[i ^ period]);
-    }
-  }
-  return r;
-}
-
 TruthTable TruthTable::swap_vars(int a, int b) const {
   if (a == b) return *this;
   if (a > b) std::swap(a, b);

@@ -104,9 +104,6 @@ class TruthTable {
   TruthTable cofactor0(int var) const;
   TruthTable cofactor1(int var) const;
 
-  /// Complements variable \p var.
-  TruthTable flip_var(int var) const;
-
   /// Swaps two variables.
   TruthTable swap_vars(int a, int b) const;
 

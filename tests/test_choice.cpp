@@ -93,7 +93,6 @@ TEST_P(MchOnRandomNetworks, ChoicesAreValidAndOrderable) {
 
   MchParams params;
   params.candidate_basis = bases[basis_id];
-  params.verify_candidates = true;
   MchStats stats;
   const Network mch = build_mch(input, params, &stats);
 
@@ -131,7 +130,6 @@ TEST(Mch, StacksOnInheritedClasses) {
     params.critical_ratio = 0.2;
     params.cut_size = 5;
     params.max_choices_per_node = 6;
-    params.verify_candidates = true;
     MchStats stats;
     const Network mch = build_mch(*input, params, &stats);
     EXPECT_GT(stats.num_choices_added, 0u);

@@ -67,9 +67,7 @@ TEST(EdgeCases, MchOnSingleGateNetwork) {
   const Signal a = net.create_pi();
   const Signal b = net.create_pi();
   net.create_po(net.create_and(a, b));
-  MchParams params;
-  params.verify_candidates = true;
-  const Network mch = build_mch(net, params);
+  const Network mch = build_mch(net, {});
   EXPECT_EQ(check_equivalence(net, mch), CecResult::kEquivalent);
 }
 

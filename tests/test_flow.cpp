@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -88,6 +89,17 @@ TEST(FlowRegistry, EveryRegisteredPassIsFindable) {
     EXPECT_TRUE(static_cast<bool>(pass->run)) << pass->name;
   }
   EXPECT_EQ(PassRegistry::instance().find("no_such_pass"), nullptr);
+}
+
+TEST(FlowRegistry, OnlyTransformsMayRunPerShard) {
+  // A `par` stage acts as a transform, so no other kind may be parallel_ok.
+  PassInfo mapping;
+  mapping.name = "sharded_mapping";
+  mapping.kind = flow::PassKind::kMapping;
+  mapping.parallel_ok = true;
+  mapping.run = [](FlowContext&, const PassArgs&) {};
+  EXPECT_THROW(PassRegistry::instance().add(mapping), std::logic_error);
+  EXPECT_EQ(PassRegistry::instance().find("sharded_mapping"), nullptr);
 }
 
 TEST(FlowRegistry, CoversTheWholeShellVocabulary) {
@@ -173,7 +185,10 @@ TEST(FlowSpec, MalformedSpecsThrowBeforeExecution) {
   EXPECT_THROW(Flow::parse("par:pass=no_such"), FlowError);
   EXPECT_THROW(Flow::parse("par:pass=cec"), FlowError);
   EXPECT_THROW(Flow::parse("par:pass=rewrite,k=junk"), FlowError);
-  EXPECT_THROW(Flow::parse("par:pass=map_asic"), FlowError);  // cells
+  // Mappings run whole: `map_lut` has threads of its own, and a shard
+  // boundary would force a LUT output at every crossing signal.
+  EXPECT_THROW(Flow::parse("par:pass=map_lut"), FlowError);
+  EXPECT_THROW(Flow::parse("par:pass=map_asic"), FlowError);
   EXPECT_THROW(Flow::parse("par:pass=par"), FlowError);  // no nesting
   // A shard never sees the LUT mapping that strash expands.
   EXPECT_THROW(Flow::parse("par:pass=strash"), FlowError);
@@ -327,13 +342,12 @@ TEST(FlowRun, DetectXorsBuildsAnXag) {
   EXPECT_EQ(report.stages[4].note, "equivalent");
 }
 
-TEST(FlowRun, ParStageActsAsItsInnerPassKind) {
-  // `par` is registered as a transform, but a sharded mapping must keep the
-  // LUTs it made, and a sharded transform must still drop stale ones.
+TEST(FlowRun, ShardedTransformDropsAStaleMapping) {
+  // A `par` stage rewrites the network, so `cec` after it must verify the
+  // new network, not the LUTs mapped before it.
   FlowContext ctx;
   const FlowReport report = flow::run_flow(
-      "gen:adder,bits=16; par:pass=map_lut,k=4; cec; par:pass=rewrite; cec",
-      ctx);
+      "gen:adder,bits=16; map_lut:k=4; cec; par:pass=rewrite; cec", ctx);
   ASSERT_TRUE(report.ok) << report.error;
   EXPECT_GT(report.stages[1].luts, 0u);
   EXPECT_GT(report.stages[1].lut_depth, 0u);

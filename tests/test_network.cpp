@@ -149,9 +149,6 @@ TEST(Network, ChoiceLinks) {
   EXPECT_FALSE(net.is_repr(m.node()));
   EXPECT_EQ(net.repr_of(m.node()), r.node());
   EXPECT_EQ(net.num_choices(), 1u);
-  net.clear_choices();
-  EXPECT_EQ(net.num_choices(), 0u);
-  EXPECT_TRUE(net.is_repr(m.node()));
 }
 
 TEST(Network, CheckRejectsChoiceCycles) {
@@ -224,17 +221,6 @@ TEST(NetworkUtils, ChoiceTopoOrderPutsMembersFirst) {
       EXPECT_LT(pos[nd.fanin[i].node()], pos[n]);
     }
   }
-}
-
-TEST(NetworkUtils, Reaches) {
-  Network net;
-  const Signal a = net.create_pi();
-  const Signal b = net.create_pi();
-  const Signal g1 = net.create_and(a, b);
-  const Signal g2 = net.create_and(g1, !a);
-  EXPECT_TRUE(reaches(net, g2.node(), a.node()));
-  EXPECT_TRUE(reaches(net, g2.node(), g1.node()));
-  EXPECT_FALSE(reaches(net, g1.node(), g2.node()));
 }
 
 /// Oracle for ChoiceGuard: is \p target reachable from \p from over

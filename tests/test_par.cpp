@@ -1,9 +1,8 @@
 /// Unit tests for the mcs::par subsystem: thread-count resolution, level-window
 /// partition + reassemble round trips (CEC-equivalent to the original),
-/// choice preservation across sharding, the LUT stitch's strashing, the
-/// `par:` flow stages over transforms, choice builders and LUT mapping, and
-/// the determinism contract (1 thread vs N threads yield bit-identical
-/// networks and LUT mappings).
+/// choice preservation across sharding, the `par:` flow stages over
+/// transforms and choice builders, and the determinism contract (1 thread
+/// vs N threads yield bit-identical networks).
 
 #include <gtest/gtest.h>
 
@@ -215,84 +214,12 @@ TEST(ParEngine, ParMchAddsChoicesAndStaysEquivalent) {
       << "par:pass=mch must be bit-identical for any thread count";
 }
 
-TEST(ParEngine, ParMapLutMatchesParRunLutAndIsDeterministic) {
-  const Network net = circuits::multiplier(8);
-  const flow::FlowContext one = run_par(net, "par:pass=map_lut", 1, 120);
-  const flow::FlowContext four = run_par(net, "par:pass=map_lut", 4, 120);
-  ASSERT_TRUE(one.luts.has_value());
-  ASSERT_TRUE(four.luts.has_value());
-  // The stage acts as a mapping: its report carries the LUTs it made.
-  const flow::StageReport& stage = one.history.back();
-  EXPECT_EQ(stage.luts, one.luts->size());
-  EXPECT_GT(stage.luts, 0u);
-  EXPECT_GT(stage.lut_depth, 0u);
-  EXPECT_TRUE(*one.luts == *four.luts)
-      << "par:pass=map_lut must be bit-identical for any thread count";
-
-  ParParams params;
-  params.num_threads = 1;
-  params.partition.max_gates = 120;
-  params.partition.keep_choices = true;
-  const LutNetwork direct = par_run_lut(
-      net, [](const Network& shard) { return lut_map(shard); }, params);
-  EXPECT_TRUE(*one.luts == direct)
-      << "par:pass=map_lut must do the work of par_run_lut over lut_map";
-
-  // Functional check of the stitched LUT network against the source.
-  const Network back = lut_network_to_network(*one.luts);
-  EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
-}
-
-TEST(ParEngine, ParMapLutStrashesConstantOutputs) {
-  // The stitch structurally hashes LUTs on (function, inputs): every
-  // constant PO must share one 0-input LUT, and the stitched mapping of a
-  // multi-shard network must stay functionally correct.
-  Network net = circuits::adder(32);
-  net.create_po(net.constant(false), "zero");
-  net.create_po(net.constant(true), "one");
-  ParParams params;
-  params.num_threads = 1;
-  params.partition.max_gates = 40;
-  ParStats stats;
-  const LutNetwork lc = par_run_lut(
-      net, [](const Network& shard) { return lut_map(shard); }, params,
-      &stats);
-  EXPECT_GT(stats.num_partitions, 1u);
-  std::size_t constant_luts = 0;
-  for (const LutNetwork::Lut& lut : lc.luts) {
-    if (lut.inputs.empty()) ++constant_luts;
-  }
-  EXPECT_EQ(constant_luts, 1u);
-  const Network back = lut_network_to_network(lc);
-  EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
-}
-
-TEST(ParEngine, ChoiceAwareParMapLutBitIdenticalAcrossThreads) {
-  // The kernel-refactor determinism gate: choice-aware mapping (arena cut
-  // enumeration + choice merging + open-addressed strash in the shards)
-  // must stay bit-identical between 1 worker and N workers, and the result
-  // must be functionally equivalent to the source.
-  const Network net = expand_to_aig(circuits::multiplier(8));
-  const flow::FlowContext one =
-      run_par(net, "par:pass=mch; par:pass=map_lut,k=5", 1, 150);
-  ASSERT_GT(one.net.num_choices(), 0u);
-  ASSERT_TRUE(one.luts.has_value());
-  for (const int threads : {2, 8}) {
-    const flow::FlowContext many =
-        run_par(one.net, "par:pass=map_lut,k=5", threads, 150);
-    ASSERT_TRUE(many.luts.has_value());
-    EXPECT_TRUE(*one.luts == *many.luts)
-        << "par:pass=map_lut diverged at " << threads << " threads";
-  }
-  const Network back = lut_network_to_network(*one.luts);
-  EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
-}
-
 constexpr const char* kParPaperFlow =
-    "par:pass=compress2rs,rounds=1; par:pass=mch; par:pass=map_lut; cec";
+    "par:pass=compress2rs,rounds=1; par:pass=mch; map_lut; cec";
 
 TEST(ParEngine, FullParallelFlowOnChoiceNetwork) {
-  // Every step partitioned, verified end to end by the flow's `cec`.
+  // Optimization and choices partitioned, LUT mapping on the flow's
+  // threads, verified end to end by the flow's `cec`.
   const flow::FlowContext ctx =
       run_par(circuits::adder(32), kParPaperFlow, 2, 100);
   EXPECT_EQ(ctx.history.back().note, "equivalent (LUT network)");

@@ -277,14 +277,6 @@ TEST(TruthTable, SwapVarsAllRegimes) {
   }
 }
 
-TEST(TruthTable, FlipVarLarge) {
-  const int n = 8;
-  const auto x7 = TruthTable::projection(7, n);
-  EXPECT_EQ(x7.flip_var(7), ~x7);
-  const auto x3 = TruthTable::projection(3, n);
-  EXPECT_EQ((x3 & x7).flip_var(7), x3 & ~x7);
-}
-
 TEST(TruthTable, ShrinkSupport) {
   const int n = 10;
   const auto f = TruthTable::projection(3, n) ^ TruthTable::projection(8, n);
