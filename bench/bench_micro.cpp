@@ -221,6 +221,38 @@ void run_kernel_suite(const char* path) {
         .field("classes", classes)
         .field("items_per_sec", static_cast<double>(kFunctions) / s);
   }
+  {
+    // The 12-bit multiplier's LUT-flow sign-off (24 inputs): the opening
+    // solve, then enumeration of every input pattern.  Work per check:
+    // gate_words simulated, solves (cec.batches) and the fraig passes'
+    // sat_calls, 0 unless the check falls back onto them.
+    flow::FlowContext ctx;
+    flow::run_flow(
+        "gen:multiplier,bits=12; compress2rs:rounds=2; "
+        "mch:basis=xmg,ratio=0.9; map_lut:k=6",
+        ctx);
+    const Network mapped = lut_network_to_network(*ctx.luts);
+    constexpr int kReps = 3;
+    auto count = [](const char* name) { return obs::counter(name).value(); };
+    const std::uint64_t gate_words = count("sim.gate_words");
+    const std::uint64_t solves = count("cec.batches");
+    const std::uint64_t sat_calls = count("sweep.sat_calls");
+    bench::MetricsWindow window;
+    const double s = best_of(kReps, [&] {
+      if (check_equivalence(*ctx.original, mapped) != CecResult::kEquivalent) {
+        std::fprintf(stderr, "bench_micro: cec_lut_mult12 not proven\n");
+        std::exit(1);
+      }
+    });
+    const std::uint64_t words = (count("sim.gate_words") - gate_words) / kReps;
+    bench::JsonLine("cec_lut_mult12", out)
+        .field("seconds", s)
+        .field("gate_words", words)
+        .field("solves", (count("cec.batches") - solves) / kReps)
+        .field("sat_calls", (count("sweep.sat_calls") - sat_calls) / kReps)
+        .field("items_per_sec", static_cast<double>(words) / s)
+        .object("metrics", window.delta_json());
+  }
   std::fclose(out);
 }
 

@@ -25,10 +25,17 @@ Checks, all hard failures:
 
 Usage:
   promote_baseline.py CANDIDATE.json [--reference BENCH_par.json]
-                      [--out BENCH_par.json] [--check-only]
+                      [--out BENCH_par.json] [--check-only] [--append]
 
 `--check-only` validates without writing (the CI gate).  On promotion the
 rows are copied verbatim -- this script never edits measurements.
+
+`--append` adds a new row to a single-config suite such as
+BENCH_kernel.json (`bench_micro --json`, whose rows carry no thread
+series and no hardware_threads): the reference's lines stay
+byte-identical and the candidate's rows for benches it lacks follow
+them.  The candidate must still cover the reference's row set, and a
+thread-series row is refused: it needs the full gate above.
 """
 
 import argparse
@@ -62,6 +69,52 @@ def key_set(rows):
     return keys
 
 
+def append_new_rows(args):
+    """--append: the reference's lines verbatim, then the candidate's rows
+    whose key the reference lacks, each line as the bench wrote it."""
+    have = key_set(load_rows(args.reference))
+    rows = load_rows(args.candidate)
+    with open(args.candidate) as f:
+        lines = f.read().splitlines()
+    problems = []
+    missing = have - key_set(rows)
+    if missing:
+        problems.append("missing rows vs reference: " +
+                        ", ".join(f"{b}@t{t}" for b, t in sorted(missing)))
+    new = []
+    for line_no, obj in rows:
+        where = f"{args.candidate}:{line_no}"
+        if "bench" not in obj or "seconds" not in obj:
+            problems.append(f"{where}: missing \"bench\" or \"seconds\"")
+        elif (obj["bench"], obj.get("threads")) in have:
+            continue
+        elif "threads" in obj:
+            problems.append(f"{where}: thread-series row; promote the "
+                            "whole run without --append")
+        elif obj.get("deterministic") is False:
+            problems.append(f"{where}: nondeterministic row")
+        else:
+            new.append(lines[line_no - 1].strip())
+    if not new and not problems:
+        problems.append("no row to append")
+    if problems:
+        print(f"NOT appendable ({len(problems)} problem(s)):")
+        for p in problems:
+            print(f"  - {p}")
+        sys.exit(1)
+    print(f"candidate OK: {len(new)} new row(s): " +
+          ", ".join(json.loads(line)["bench"] for line in new))
+    if args.check_only:
+        return
+    with open(args.reference) as f:
+        kept = f.read()
+    if kept and not kept.endswith("\n"):
+        kept += "\n"
+    with open(args.out, "w") as dst:
+        dst.write(kept + "".join(line + "\n" for line in new))
+    print(f"appended {len(new)} row(s) of {args.candidate} -> {args.out}")
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("candidate")
@@ -70,7 +123,13 @@ def main():
     ap.add_argument("--out", default="BENCH_par.json")
     ap.add_argument("--check-only", action="store_true",
                     help="validate without writing the baseline")
+    ap.add_argument("--append", action="store_true",
+                    help="keep the reference's rows byte-identical and "
+                         "append the candidate's new single-config rows")
     args = ap.parse_args()
+    if args.append:
+        append_new_rows(args)
+        return
 
     rows = load_rows(args.candidate)
     problems = []

@@ -179,7 +179,8 @@ void register_core_passes(PassRegistry& registry) {
   registry.add({
       .name = "cec",
       .summary =
-          "verify against the originally loaded network (sim + fraig + SAT)",
+          "verify against the originally loaded network (sim, every input "
+          "pattern when few, fraig + SAT)",
       .kind = PassKind::kAnalysis,
       .run =
           [](FlowContext& ctx, const PassArgs&) {

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 
 #include "mcs/cut/enumeration.hpp"
@@ -595,17 +596,22 @@ Network lut_network_to_network(const LutNetwork& lnet) {
   std::vector<Signal> value(lnet.num_pis + lnet.luts.size());
   for (int i = 0; i < lnet.num_pis; ++i) value[i] = out.create_pi();
 
-  const SopStrategy sop;
+  // A mapping repeats few functions (6,808 LUTs of the 64-bit multiplier
+  // have 65 distinct ones): factor each (function, arity) once.
+  std::map<std::pair<Tt6, std::size_t>, FactoredForm> forms;
+  const BasisBuilder bb(out, GateBasis::xmg());
   for (std::size_t i = 0; i < lnet.luts.size(); ++i) {
     const auto& lut = lnet.luts[i];
     std::vector<Signal> leaves;
     leaves.reserve(lut.inputs.size());
     for (const auto r : lut.inputs) leaves.push_back(value[r]);
-    const TruthTable f = TruthTable::from_tt6(
-        lut.function, static_cast<int>(lut.inputs.size()));
-    const auto s = sop.synthesize(out, GateBasis::xmg(), f, leaves);
-    assert(s.has_value());
-    value[lnet.num_pis + i] = *s;
+    auto [it, fresh] = forms.try_emplace({lut.function, lut.inputs.size()});
+    if (fresh) {
+      const int arity = static_cast<int>(lut.inputs.size());
+      it->second = factor_sop(
+          compute_isop(TruthTable::from_tt6(lut.function, arity)), arity);
+    }
+    value[lnet.num_pis + i] = build_factored(bb, it->second, leaves);
   }
   for (std::size_t i = 0; i < lnet.po_refs.size(); ++i) {
     out.create_po(value[lnet.po_refs[i]] ^ static_cast<bool>(lnet.po_compl[i]));

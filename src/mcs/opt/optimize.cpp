@@ -1,7 +1,6 @@
 #include "mcs/opt/optimize.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 #include <queue>
 #include <unordered_map>
@@ -101,7 +100,6 @@ Network balance(const Network& net) {
 
 Network refactor(const Network& net, const RefactorParams& params) {
   Network dst;
-  const SopStrategy sop;
   std::vector<Signal> map(net.size());
   map[0] = dst.constant(false);
   for (std::size_t i = 0; i < net.num_pis(); ++i) {
@@ -126,9 +124,7 @@ Network refactor(const Network& net, const RefactorParams& params) {
         for (const NodeId leaf : mffc.leaves) {
           leaves.push_back(map[leaf]);
         }
-        const auto s = sop.synthesize(dst, params.basis, f, leaves);
-        assert(s.has_value());
-        map[n] = *s;
+        map[n] = build_factored(BasisBuilder(dst, params.basis), ff, leaves);
         continue;
       }
     }

@@ -6,9 +6,6 @@
 
 namespace mcs {
 
-namespace {
-
-/// Builds a factored form into the network through the basis builder.
 Signal build_factored(const BasisBuilder& bb, const FactoredForm& ff,
                       const std::vector<Signal>& leaves) {
   std::vector<Signal> value(ff.nodes.size());
@@ -34,6 +31,8 @@ Signal build_factored(const BasisBuilder& bb, const FactoredForm& ff,
   }
   return value[ff.root];
 }
+
+namespace {
 
 Signal build_sop(const BasisBuilder& bb, const TruthTable& f,
                  const std::vector<Signal>& leaves) {

@@ -18,9 +18,16 @@
 
 #include "mcs/resyn/basis.hpp"
 #include "mcs/resyn/npn_db.hpp"
+#include "mcs/resyn/sop.hpp"
 #include "mcs/tt/truth_table.hpp"
 
 namespace mcs {
+
+/// Builds the factored form \p ff over \p leaves (literal i reads
+/// leaves[i]) into the builder's network; what SopStrategy emits for
+/// factor_sop(compute_isop(f)).
+Signal build_factored(const BasisBuilder& bb, const FactoredForm& ff,
+                      const std::vector<Signal>& leaves);
 
 /// Interface of one synthesis strategy.
 class ResynStrategy {

@@ -111,43 +111,13 @@ RandomSimulation::RandomSimulation(const Network& net, int num_words,
 void RandomSimulation::eval_node(NodeId n, int begin_word,
                                  int end_word) noexcept {
   const Node& nd = net_.node(n);
-  std::uint64_t* out = mutable_values(n);
-  const std::uint64_t* a = node_values(nd.fanin[0].node());
-  const std::uint64_t* b = node_values(nd.fanin[1].node());
-  const std::uint64_t ac = nd.fanin[0].complemented() ? ~0ull : 0ull;
-  const std::uint64_t bc = nd.fanin[1].complemented() ? ~0ull : 0ull;
-  switch (nd.type) {
-    case GateType::kAnd2:
-      for (int i = begin_word; i < end_word; ++i) {
-        out[i] = (a[i] ^ ac) & (b[i] ^ bc);
-      }
-      break;
-    case GateType::kXor2:
-      for (int i = begin_word; i < end_word; ++i) {
-        out[i] = (a[i] ^ ac) ^ (b[i] ^ bc);
-      }
-      break;
-    case GateType::kMaj3:
-    case GateType::kXor3: {
-      const std::uint64_t* c = node_values(nd.fanin[2].node());
-      const std::uint64_t cc = nd.fanin[2].complemented() ? ~0ull : 0ull;
-      if (nd.type == GateType::kMaj3) {
-        for (int i = begin_word; i < end_word; ++i) {
-          const std::uint64_t x = a[i] ^ ac;
-          const std::uint64_t y = b[i] ^ bc;
-          const std::uint64_t z = c[i] ^ cc;
-          out[i] = (x & y) | (x & z) | (y & z);
-        }
-      } else {
-        for (int i = begin_word; i < end_word; ++i) {
-          out[i] = (a[i] ^ ac) ^ (b[i] ^ bc) ^ (c[i] ^ cc);
-        }
-      }
-      break;
-    }
-    default:
-      break;
+  std::array<const std::uint64_t*, 3> in{};
+  std::array<std::uint64_t, 3> flip{};
+  for (int k = 0; k < nd.num_fanins; ++k) {
+    in[k] = node_values(nd.fanin[k].node());
+    flip[k] = nd.fanin[k].complemented() ? ~0ull : 0ull;
   }
+  eval_gate_words(nd.type, in, flip, mutable_values(n), begin_word, end_word);
 }
 
 void RandomSimulation::add_pattern_words(

@@ -9,6 +9,7 @@
 
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +17,54 @@
 #include "mcs/tt/truth_table.hpp"
 
 namespace mcs {
+
+/// The gate kernel of the word-parallel simulators: writes words
+/// [begin_word, end_word) of a \p type gate to \p out, reading fanin k's
+/// words at \p in[k], each XORed with its complement mask \p flip[k]
+/// (all ones or 0).  Inline, so a caller with a constant word range gets a
+/// loop of fixed length.
+inline void eval_gate_words(GateType type,
+                            const std::array<const std::uint64_t*, 3>& in,
+                            const std::array<std::uint64_t, 3>& flip,
+                            std::uint64_t* out, int begin_word,
+                            int end_word) noexcept {
+  const std::uint64_t* a = in[0];
+  const std::uint64_t* b = in[1];
+  const std::uint64_t ac = flip[0];
+  const std::uint64_t bc = flip[1];
+  switch (type) {
+    case GateType::kAnd2:
+      for (int i = begin_word; i < end_word; ++i) {
+        out[i] = (a[i] ^ ac) & (b[i] ^ bc);
+      }
+      break;
+    case GateType::kXor2:
+      for (int i = begin_word; i < end_word; ++i) {
+        out[i] = (a[i] ^ ac) ^ (b[i] ^ bc);
+      }
+      break;
+    case GateType::kMaj3:
+    case GateType::kXor3: {
+      const std::uint64_t* c = in[2];
+      const std::uint64_t cc = flip[2];
+      if (type == GateType::kMaj3) {
+        for (int i = begin_word; i < end_word; ++i) {
+          const std::uint64_t x = a[i] ^ ac;
+          const std::uint64_t y = b[i] ^ bc;
+          const std::uint64_t z = c[i] ^ cc;
+          out[i] = (x & y) | (x & z) | (y & z);
+        }
+      } else {
+        for (int i = begin_word; i < end_word; ++i) {
+          out[i] = (a[i] ^ ac) ^ (b[i] ^ bc) ^ (c[i] ^ cc);
+        }
+      }
+      break;
+    }
+    default:
+      break;
+  }
+}
 
 /// Random word-parallel simulation.
 ///

@@ -238,9 +238,10 @@ TEST_F(TxnTest, RetryCompletesBitIdenticalToUninjectedRun) {
   // Same flow under fire: the second mutating stage throws once, the
   // transactional runner rolls back and retries, and the result must be
   // the exact network the clean run produced.
-  const std::uint64_t rollbacks_before =
+  [[maybe_unused]] const std::uint64_t rollbacks_before =
       obs::counter("ckpt.rollbacks").value();
-  const std::uint64_t retries_before = obs::counter("ckpt.retries").value();
+  [[maybe_unused]] const std::uint64_t retries_before =
+      obs::counter("ckpt.retries").value();
   fail::configure("flow.stage=throw,after=2,count=1");
   flow::FlowContext injected;
   injected.txn.snapshot = true;
@@ -283,7 +284,8 @@ TEST_F(TxnTest, RetryBudgetExhaustedFailsTheStage) {
 }
 
 TEST_F(TxnTest, SkipDropsTheStageAndTheFlowContinues) {
-  const std::uint64_t skips_before = obs::counter("ckpt.skips").value();
+  [[maybe_unused]] const std::uint64_t skips_before =
+      obs::counter("ckpt.skips").value();
   fail::configure("flow.stage=throw,after=1");
   flow::FlowContext ctx;
   ctx.txn.snapshot = true;
@@ -310,7 +312,7 @@ TEST_F(TxnTest, SkipDropsTheStageAndTheFlowContinues) {
 }
 
 TEST_F(TxnTest, FailPolicyStopsImmediatelyWithoutRollback) {
-  const std::uint64_t rollbacks_before =
+  [[maybe_unused]] const std::uint64_t rollbacks_before =
       obs::counter("ckpt.rollbacks").value();
   fail::configure("flow.stage=throw,after=1,count=1");
   flow::FlowContext ctx;
@@ -325,7 +327,7 @@ TEST_F(TxnTest, FailPolicyStopsImmediatelyWithoutRollback) {
 TEST_F(TxnTest, ValidationFaultSiteTriggersRollback) {
   // flow.validate fires inside the post-stage audit window: the stage ran
   // and mutated the network, so recovery requires an actual rollback.
-  const std::uint64_t rollbacks_before =
+  [[maybe_unused]] const std::uint64_t rollbacks_before =
       obs::counter("ckpt.rollbacks").value();
   fail::configure("flow.validate=throw,after=1,count=1");
   flow::FlowContext ctx;

@@ -73,12 +73,23 @@ TEST(EdgeCases, MchOnSingleGateNetwork) {
 
 TEST(EdgeCases, CecWithTinyConflictLimitReturnsUnknownNotWrong) {
   // A multiplier against its resynthesized XMG: the strashed miter leaves
-  // PO pairs open, and a 1-conflict budget cannot close them.
-  const Network a = expand_to_aig(circuits::multiplier(6));
+  // PO pairs open, and a 1-conflict budget cannot close them.  With 32
+  // inputs the miter is too wide to enumerate, so only SAT could decide.
+  const Network a = expand_to_aig(circuits::multiplier(16));
   const Network b = compress2rs_like(a, GateBasis::xmg(), 1);
   CecOptions opts;
   opts.conflict_limit = 1;
   EXPECT_EQ(check_equivalence(a, b, opts), CecResult::kUnknown);
+}
+
+TEST(EdgeCases, CecEnumeratesSmallMiterUnderTinyConflictLimit) {
+  // The same pair at 12 inputs: enumerating every pattern spends no
+  // conflicts, so the 1-conflict budget still gets a verdict.
+  const Network a = expand_to_aig(circuits::multiplier(6));
+  const Network b = compress2rs_like(a, GateBasis::xmg(), 1);
+  CecOptions opts;
+  opts.conflict_limit = 1;
+  EXPECT_EQ(check_equivalence(a, b, opts), CecResult::kEquivalent);
 }
 
 TEST(EdgeCases, AigerRejectsGarbage) {

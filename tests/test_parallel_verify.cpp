@@ -19,13 +19,17 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "mcs/circuits/circuits.hpp"
+#include "mcs/common/rng.hpp"
 #include "mcs/fail/fail.hpp"
 #include "mcs/flow/flow.hpp"
+#include "mcs/map/lut_mapper.hpp"
 #include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
+#include "mcs/obs/obs.hpp"
 #include "mcs/opt/optimize.hpp"
 #include "mcs/par/par_engine.hpp"
 #include "mcs/par/thread_pool.hpp"
@@ -311,28 +315,239 @@ TEST(ParallelCec, VerdictMatchesSerialOnBrokenPair) {
   }
 }
 
-TEST(ParallelCec, SatStageFindsDeepDisagreement) {
-  // A mismatch random simulation is unlikely to hit: two networks that
-  // agree except when all inputs are 1 (AND chain vs constant 0).  The
-  // SAT stage must find it for any thread count.
-  constexpr int kBits = 24;
+/// An AND of \p bits fresh inputs on nine POs, against constant 0 on the
+/// same interface: the two differ only on the all-ones pattern, which
+/// 256 random vectors are unlikely to hit.
+std::pair<Network, Network> and_chain_vs_zero(int bits) {
   Network a;
-  {
-    Signal acc = a.constant(true);
-    for (int i = 0; i < kBits; ++i) acc = a.create_and(acc, a.create_pi());
-    for (int i = 0; i < 9; ++i) a.create_po(acc);
-  }
+  Signal acc = a.constant(true);
+  for (int i = 0; i < bits; ++i) acc = a.create_and(acc, a.create_pi());
+  for (int i = 0; i < 9; ++i) a.create_po(acc);
   Network b;
-  {
-    for (int i = 0; i < kBits; ++i) b.create_pi();
-    for (int i = 0; i < 9; ++i) b.create_po(b.constant(false));
+  for (int i = 0; i < bits; ++i) b.create_pi();
+  for (int i = 0; i < 9; ++i) b.create_po(b.constant(false));
+  return {std::move(a), std::move(b)};
+}
+
+/// Deltas of the CEC and sweep counters across one check.
+struct CecCounters {
+  std::uint64_t solves = obs::counter("cec.batches").value();
+  std::uint64_t enumerated = obs::counter("cec.exhaustive").value();
+  std::uint64_t sat_calls = obs::counter("sweep.sat_calls").value();
+
+  std::uint64_t solves_since() const {
+    return obs::counter("cec.batches").value() - solves;
   }
+  std::uint64_t enumerated_since() const {
+    return obs::counter("cec.exhaustive").value() - enumerated;
+  }
+  std::uint64_t sat_calls_since() const {
+    return obs::counter("sweep.sat_calls").value() - sat_calls;
+  }
+};
+
+TEST(ParallelCec, SatStageFindsDeepDisagreement) {
+  // 40 inputs are too many to enumerate, so the SAT stage must find the
+  // one disagreeing pattern, for any thread count.
+  const auto [a, b] = and_chain_vs_zero(40);
   for (const int threads : {1, 4}) {
     CecOptions opts;
     opts.num_threads = threads;
-    opts.sim_words = 4;  // 256 random vectors: won't hit the all-ones case
+    opts.sim_words = 4;
+    const CecCounters before;
     EXPECT_EQ(check_equivalence(a, b, opts), CecResult::kNotEquivalent)
         << threads << " threads";
+#ifndef MCS_OBS_DISABLE
+    EXPECT_EQ(before.enumerated_since(), 0u);
+    EXPECT_EQ(before.solves_since(), 1u);
+#endif
+  }
+}
+
+TEST(ParallelCec, EnumerationFindsDeepDisagreement) {
+  // At 24 inputs the miter costs 2^18 words times a few dozen gates, so
+  // enumeration finds the all-ones pattern before any solve.
+  const auto [a, b] = and_chain_vs_zero(24);
+  for (const int threads : {1, 2, 4}) {
+    CecOptions opts;
+    opts.num_threads = threads;
+    opts.sim_words = 4;
+    const CecCounters before;
+    EXPECT_EQ(check_equivalence(a, b, opts), CecResult::kNotEquivalent)
+        << threads << " threads";
+#ifndef MCS_OBS_DISABLE
+    EXPECT_EQ(before.enumerated_since(), 1u);
+    EXPECT_EQ(before.solves_since(), 0u);
+#endif
+  }
+}
+
+/// \p net with PO \p po complemented on the one input pattern
+/// \p minterm (bit i is PI i).
+Network flip_minterm(const Network& net, std::size_t po,
+                     std::uint64_t minterm) {
+  Network out;
+  std::vector<Signal> pis;
+  Signal hit = out.constant(true);
+  for (std::size_t i = 0; i < net.num_pis(); ++i) {
+    pis.push_back(out.create_pi());
+    hit = out.create_and(hit, pis.back() ^ !((minterm >> i) & 1));
+  }
+  for (std::size_t i = 0; i < net.num_pos(); ++i) {
+    const Signal s = copy_cone(net, out, net.po_at(i), pis);
+    out.create_po(i == po ? out.create_xor(s, hit) : s);
+  }
+  return out;
+}
+
+TEST(ParallelCec, EnumerationAgreesWithTruthTables) {
+  // Seeded random pairs on 2-18 inputs: a random network against another
+  // one, against its AIG expansion, and against either with one PO
+  // flipped on one pattern.  Past ~10 inputs random simulation mostly
+  // misses that pattern, so enumeration decides; the verdict must match
+  // the truth tables at every thread count.
+  int differing = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    testing::RandomNetworkSpec spec;
+    spec.num_pis = 2 + static_cast<int>(seed % 17);
+    spec.num_gates = 30 + static_cast<int>(seed % 5) * 10;
+    spec.num_pos = 3;
+    spec.seed = seed;
+    const Network a = testing::random_network(spec);
+    const Network aig = expand_to_aig(a);
+    spec.seed += 1000;
+    Rng rng(seed);
+    const std::uint64_t minterm = rng.next() & ((1ull << spec.num_pis) - 1);
+    const std::vector<Network> others = {
+        testing::random_network(spec), aig, flip_minterm(a, seed % 3, minterm),
+        flip_minterm(aig, (seed + 1) % 3, minterm)};
+    const std::vector<TruthTable> want = simulate_pos(a);
+    for (const Network& b : others) {
+      const bool equal = simulate_pos(b) == want;
+      differing += !equal;
+      for (const int threads : {1, 2, 4}) {
+        CecOptions opts;
+        opts.num_threads = threads;
+        EXPECT_EQ(check_equivalence(a, b, opts),
+                  equal ? CecResult::kEquivalent : CecResult::kNotEquivalent)
+            << "seed " << seed << ", " << threads << " threads";
+      }
+    }
+  }
+  EXPECT_GE(differing, 48);
+}
+
+TEST(ParallelCec, EnumerationRefutesObservableLutBitFlips) {
+  // Single-bit flips of the LUT functions of multiplier 8's mapping, with
+  // random simulation off so that enumeration decides each one.  A flip
+  // changes the function iff some input pattern shows the flipped minterm
+  // at the LUT's inputs while toggling its output reaches a PO; 1,147 of
+  // the mapping's 3,972 flips do not.  Every 32nd LUT keeps the test
+  // fast.
+  const Network net = circuits::multiplier(8);
+  const LutNetwork luts = lut_map(net);
+  int refuted = 0;
+  for (std::size_t i = 0; i < luts.luts.size(); i += 32) {
+    const LutNetwork::Lut& lut = luts.luts[i];
+    // Truth tables of the POs, then of the LUT's inputs, with the LUT as
+    // mapped and with its output complemented.
+    LutNetwork probe = luts;
+    for (const std::int32_t r : lut.inputs) {
+      probe.po_refs.push_back(r);
+      probe.po_compl.push_back(false);
+    }
+    const std::vector<TruthTable> base =
+        simulate_pos(lut_network_to_network(probe));
+    probe.luts[i].function = ~lut.function;
+    const std::vector<TruthTable> toggled =
+        simulate_pos(lut_network_to_network(probe));
+    TruthTable reaches(static_cast<int>(net.num_pis()));
+    for (std::size_t po = 0; po < net.num_pos(); ++po) {
+      reaches = reaches | (base[po] ^ toggled[po]);
+    }
+    for (std::size_t bit = 0; bit < (std::size_t{1} << lut.inputs.size());
+         ++bit) {
+      TruthTable shows = reaches;
+      for (std::size_t k = 0; k < lut.inputs.size(); ++k) {
+        const TruthTable& in = base[net.num_pos() + k];
+        shows = shows & ((bit >> k) & 1 ? in : ~in);
+      }
+      LutNetwork flipped = luts;
+      flipped.luts[i].function ^= 1ull << bit;
+      CecOptions opts;
+      opts.sim_words = 0;
+      opts.num_threads = 1 + static_cast<int>(bit % 4);
+      const CecResult r =
+          check_equivalence(net, lut_network_to_network(flipped), opts);
+      EXPECT_EQ(r, shows.is_const0() ? CecResult::kEquivalent
+                                     : CecResult::kNotEquivalent)
+          << "LUT " << i << ", bit " << bit;
+      refuted += r == CecResult::kNotEquivalent;
+    }
+  }
+  EXPECT_GT(refuted, 0);
+}
+
+TEST(ParallelCec, EnumeratedCheckMakesNoSatCall) {
+  const Network net = circuits::multiplier(8);
+  const Network mapped = lut_network_to_network(lut_map(net));
+  for (const int threads : {1, 4}) {
+    CecOptions opts;
+    opts.num_threads = threads;
+    const CecCounters before;
+    EXPECT_EQ(check_equivalence(net, mapped, opts), CecResult::kEquivalent);
+#ifndef MCS_OBS_DISABLE
+    EXPECT_EQ(before.enumerated_since(), 1u);
+    EXPECT_EQ(before.solves_since(), 0u);
+    EXPECT_EQ(before.sat_calls_since(), 0u);
+#endif
+  }
+}
+
+TEST(ParallelCec, ZeroConflictBudgetStillDecidesSmallMiters) {
+  const Network a = expand_to_aig(circuits::multiplier(6));
+  const Network b = compress2rs_like(a, GateBasis::xmg(), 1);
+  const Network broken = flip_minterm(b, 7, 0xabc);
+  for (const int threads : {1, 2, 4}) {
+    CecOptions opts;
+    opts.num_threads = threads;
+    opts.conflict_limit = 0;
+    EXPECT_EQ(check_equivalence(a, b, opts), CecResult::kEquivalent);
+    opts.sim_words = 0;
+    EXPECT_EQ(check_equivalence(a, broken, opts), CecResult::kNotEquivalent);
+  }
+}
+
+TEST(ParallelCec, MiterJustOverTheSmallCapTakesTheFirstSolve) {
+  // An AND chain against an AND tree over the same n inputs: the miter
+  // has about 2n gates and 2^(n-6) words.  At 24 inputs that is ~2^23.6
+  // gate-words, under the first enumeration step's 2^24 cap; at 25 it is
+  // ~2^24.6, so the opening solve decides it.
+  for (const int bits : {24, 25}) {
+    Network chain;
+    Network tree;
+    std::vector<Signal> leaves;
+    Signal acc = chain.constant(true);
+    for (int i = 0; i < bits; ++i) {
+      acc = chain.create_and(acc, chain.create_pi());
+      leaves.push_back(tree.create_pi());
+    }
+    chain.create_po(acc);
+    while (leaves.size() > 1) {
+      std::vector<Signal> next;
+      for (std::size_t i = 0; i + 1 < leaves.size(); i += 2) {
+        next.push_back(tree.create_and(leaves[i], leaves[i + 1]));
+      }
+      if (leaves.size() % 2) next.push_back(leaves.back());
+      leaves = std::move(next);
+    }
+    tree.create_po(leaves[0]);
+    const CecCounters before;
+    EXPECT_EQ(check_equivalence(chain, tree), CecResult::kEquivalent);
+#ifndef MCS_OBS_DISABLE
+    EXPECT_EQ(before.enumerated_since(), bits == 24 ? 1u : 0u) << bits;
+    EXPECT_EQ(before.solves_since(), bits == 24 ? 0u : 1u) << bits;
+#endif
   }
 }
 

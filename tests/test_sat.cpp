@@ -4,8 +4,12 @@
 
 #include <vector>
 
+#include "mcs/circuits/circuits.hpp"
 #include "mcs/common/rng.hpp"
+#include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
+#include "mcs/obs/obs.hpp"
+#include "mcs/opt/optimize.hpp"
 #include "mcs/sat/cec.hpp"
 #include "mcs/sat/cnf.hpp"
 #include "mcs/sat/miter.hpp"
@@ -258,6 +262,38 @@ TEST(Cec, SignalEquivalenceInsideNetwork) {
   EXPECT_EQ(miter.prove_equal(r, m, -1), Result::kUnsat);
   EXPECT_EQ(miter.prove_equal(r, !m, -1), Result::kSat);
   EXPECT_EQ(miter.prove_equal(r, other, -1), Result::kSat);
+}
+
+TEST(Cec, WideMiterClosesThroughFraigPasses) {
+  // Four copies of a 6-bit multiplier against four of its resynthesized
+  // XMG: 48 inputs are too many to enumerate, the opening 2000-conflict
+  // solve of all 48 PO pairs at once runs out, and the fraig passes then
+  // merge every pair, so the residual solve never runs.
+  const Network unit = expand_to_aig(circuits::multiplier(6));
+  const Network unit_opt = compress2rs_like(unit, GateBasis::xmg(), 1);
+  auto copies = [](const Network& one) {
+    Network out;
+    for (int c = 0; c < 4; ++c) {
+      std::vector<Signal> pis;
+      for (std::size_t i = 0; i < one.num_pis(); ++i) {
+        pis.push_back(out.create_pi());
+      }
+      for (std::size_t i = 0; i < one.num_pos(); ++i) {
+        out.create_po(copy_cone(one, out, one.po_at(i), pis));
+      }
+    }
+    return out;
+  };
+  [[maybe_unused]] const std::uint64_t solves =
+      obs::counter("cec.batches").value();
+  [[maybe_unused]] const std::uint64_t sat_calls =
+      obs::counter("sweep.sat_calls").value();
+  EXPECT_EQ(check_equivalence(copies(unit), copies(unit_opt)),
+            CecResult::kEquivalent);
+#ifndef MCS_OBS_DISABLE  // counters are no-op stubs in the disabled build
+  EXPECT_EQ(obs::counter("cec.batches").value(), solves + 1);
+  EXPECT_GT(obs::counter("sweep.sat_calls").value(), sat_calls);
+#endif
 }
 
 TEST(Cec, RandomNetworkAgainstItsSimulation) {
