@@ -6,8 +6,8 @@
 /// object per line (see bench_util::JsonLine) to PATH:
 ///   - `--json[=PATH]`: the perf-baseline kernel suite (best of N
 ///     repetitions; default PATH BENCH_kernel.json);
-///   - `--json-par[=PATH]`: thread scaling of the parallel drivers, CEC and
-///     simulation (default BENCH_par.json);
+///   - `--json-par[=PATH]`: thread scaling of the parallel drivers and CEC
+///     (default BENCH_par.json);
 ///   - `--json-sweep[=PATH]`: thread scaling of the fraig engine (default
 ///     BENCH_sweep.json).
 /// The files are the input of bench/compare_bench.py and the committed
@@ -73,15 +73,14 @@ void run_kernel_suite(const char* path) {
   std::fprintf(stderr, "bench_micro: kernel suite -> %s\n", path);
 
   {
-    // Steady-state per-pass enumeration (reset + run), exactly how the
-    // mappers drive the kernel across their recovery passes.
+    // Steady-state per-pass enumeration (run resets its slots), exactly how
+    // the mappers drive the kernel across their recovery passes.
     const Network& net = large_circuit();
     const auto order = topo_order(net);
     CutEnumerator cuts(net, {.cut_size = 6, .cut_limit = 8});
     std::size_t cuts_total = 0;
     bench::MetricsWindow window;
     const double s = best_of(5, [&] {
-      cuts.reset();
       cuts.run(order);
       cuts_total = cuts.total_cuts();
     });
@@ -99,10 +98,7 @@ void run_kernel_suite(const char* path) {
     const auto order = topo_order(net);
     CutEnumerator cuts(net, {.cut_size = 4, .cut_limit = 8});
     const double s = best_of(5, [&] {
-      for (int i = 0; i < kBatch; ++i) {
-        cuts.reset();
-        cuts.run(order);
-      }
+      for (int i = 0; i < kBatch; ++i) cuts.run(order);
     }) / kBatch;
     bench::JsonLine("cut_enum_mult8_k4", out)
         .field("seconds", s)
@@ -253,6 +249,20 @@ void run_kernel_suite(const char* path) {
         .field("items_per_sec", static_cast<double>(words) / s)
         .object("metrics", window.delta_json());
   }
+  {
+    // The random-simulation sweep that seeds fraig's and DCH's candidate
+    // classes and is CEC's first stage, 64 words per node.
+    constexpr int kWords = 64;
+    const Network& net = large_circuit();
+    const double s =
+        best_of(5, [&] { const RandomSimulation sim(net, kWords, 0xbeef); });
+    const std::uint64_t gate_words =
+        static_cast<std::uint64_t>(net.num_gates()) * kWords;
+    bench::JsonLine("sim_mult64", out)
+        .field("seconds", s)
+        .field("gate_words", gate_words)
+        .field("items_per_sec", static_cast<double>(gate_words) / s);
+  }
   std::fclose(out);
 }
 
@@ -260,8 +270,8 @@ void run_kernel_suite(const char* path) {
 
 /// Thread-scaling suite over the end-to-end parallel paths: par_run with
 /// compress2rs_like (the work of `par:pass=compress2rs`), lut_map's own
-/// parallel passes on the whole MCH network (the work of `map_lut`), CEC
-/// and random simulation on the 64-bit multiplier at 1/2/4/8 threads.  One
+/// parallel passes on the whole MCH network (the work of `map_lut`) and
+/// CEC on the 64-bit multiplier at 1/2/4/8 threads.  One
 /// JSON line per (bench, threads) pair carrying seconds, speedup vs the
 /// run's own 1-thread time, a determinism check against the 1-thread
 /// result, and the machine's hardware concurrency (committed baselines from
@@ -336,10 +346,10 @@ void run_par_suite(const char* path) {
   }
   {
     // CEC: ripple adder vs its resynthesized XMG, a tractable miter
-    // (multiplier miters are SAT-hard regardless of the harness).  Stage 1
-    // is the level-blocked parallel simulation; of stage 2 only the fraig
-    // passes run on several threads.  The two networks must differ, or the
-    // strashed miter closes every pair and no proof is timed.
+    // (multiplier miters are SAT-hard regardless of the harness).  Only the
+    // fraig passes of stage 2 run on several threads.  The two networks
+    // must differ, or the strashed miter closes every pair and no proof is
+    // timed.
     const Network ripple = expand_to_aig(circuits::adder(4 * bits));
     const Network resynth = compress2rs_like(ripple, GateBasis::xmg(), 1);
     if (structurally_identical(ripple, resynth)) {
@@ -367,23 +377,6 @@ void run_par_suite(const char* path) {
           .field("deterministic", r == reference)
           .field("equivalent", r == CecResult::kEquivalent)
           .field("hardware_threads", static_cast<std::size_t>(hw));
-    }
-  }
-  {
-    // The raw level-blocked simulation sweep (64 words per node).
-    std::uint64_t ref_sig = 0;
-    double base = 0.0;
-    for (const int t : thread_counts) {
-      std::uint64_t sig = 0;
-      const double s = best_of(3, [&] {
-        RandomSimulation sim(net, 64, 0xbeef, t);
-        sig = sim.signature(net.po_at(net.num_pos() - 1));
-      });
-      if (t == 1) {
-        base = s;
-        ref_sig = sig;
-      }
-      emit("sim_mult", t, s, base, sig == ref_sig);
     }
   }
   std::fclose(out);

@@ -15,8 +15,8 @@
 /// and exits nonzero, so CI scripts cannot silently pass.
 ///
 /// The `threads <n>` command selects the worker count for the parallel
-/// passes (`par`, `fraig`, `cec`); their results are bit-identical for any
-/// thread count.
+/// passes (`par`, `fraig`, `dch`, `map_lut`, `cec`); their results are
+/// bit-identical for any thread count.
 
 #include <unistd.h>
 

@@ -16,13 +16,13 @@
 ///
 /// Hot-path design (this is the inner loop of every mapper and of MCH
 /// construction):
-///   - Cut sets live in a CutStore arena (one contiguous buffer, per-node
-///     spans) instead of a vector-of-vectors: no per-node allocations, and
-///     fanin cut iteration is sequential in memory.
+///   - Cut sets live in a CutStore arena (one contiguous buffer, one
+///     fixed slot per scheduled node) instead of a vector-of-vectors: no
+///     per-node allocations, and a node builds its set in place in its
+///     slot.
 ///   - The per-node working set lives in a Worker.  Serial passes use the
-///     enumerator's own; a parallel pass (reset_slots/run_slot) gives each
-///     participant one and each scheduled node a fixed arena slot.
-///   - run/run_single are templated on the annotate/compare functors, so
+///     enumerator's own; a parallel pass gives each participant one.
+///   - run/run_slot are templated on the annotate/compare functors, so
 ///     mapper lambdas inline into the merge loop -- no indirect call per
 ///     cut.
 ///   - A merged cut's truth table is only derived after the leaf-union +
@@ -110,8 +110,8 @@ class CutEnumerator {
    private:
     friend class CutEnumerator;
 
-    /// Builds the cut set of \p n in place at \p tail (slot_size() cuts of
-    /// room) and returns its size.  \pre the sets of n's fanins and, with
+    /// Builds the cut set of \p n in place at \p tail (one slot of room)
+    /// and returns its size.  \pre the sets of n's fanins and, with
     /// choices, of its class members are committed.
     template <typename Annotate, typename Compare>
     std::size_t build(NodeId n, Cut* tail, const Annotate& annotate,
@@ -366,45 +366,41 @@ class CutEnumerator {
   CutEnumerator(const CutEnumerator&) = delete;
   CutEnumerator& operator=(const CutEnumerator&) = delete;
 
-  /// Re-arms the enumerator for a fresh pass over the same network.  The
-  /// arena buffer is kept, so steady-state passes allocate nothing.
-  void reset() { store_.reset(net_.size()); }
-
-  /// Re-arms the enumerator for a pass over \p num_slots scheduled nodes
-  /// whose sets are built with run_slot(), possibly concurrently: node i of
-  /// the schedule builds in slot i, so the arena never moves in the pass.
-  void reset_slots(std::size_t num_slots) {
-    store_.reset_slots(net_.size(), num_slots, slot_size());
-  }
+  /// Re-arms the enumerator for a pass over \p num_slots scheduled nodes:
+  /// the node at schedule position i builds its set in slot i (run_slot()),
+  /// so the arena never moves during the pass.  The buffer is kept, so
+  /// steady-state passes allocate nothing.
+  void reset(std::size_t num_slots) { store_.reset(num_slots, slot_size()); }
 
   /// Enumerates cuts for every node of \p order (which must be
-  /// topologically sorted; use choice_topo_order() with use_choices).
+  /// topologically sorted; use choice_topo_order() with use_choices),
+  /// order[i] in slot i of a fresh reset().
   template <typename Annotate, typename Compare>
   void run(const std::vector<NodeId>& order, const Annotate& annotate,
            const Compare& better) {
     obs::Span span("cut:enum");
-    for (const NodeId n : order) run_single(n, annotate, better);
+    reset(order.size());
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      run_slot(i, order[i], annotate, better);
+    }
     count_pass(order.size());
   }
   void run(const std::vector<NodeId>& order) {
     run(order, CutNoAnnotate{}, CutDefaultBetter{});
   }
 
-  /// Enumerates cuts for a single node whose fanins (and, with choices, its
-  /// class members) have already been processed.  Lets mappers interleave
-  /// enumeration with per-node cost state (priority cuts).
+  /// Builds the cut set of node \p n at position \p slot of the reset()
+  /// schedule on the enumerator's own worker.  Its fanins (and, with
+  /// choices, its class members) must have been built already.  Lets
+  /// mappers interleave enumeration with per-node cost state (priority
+  /// cuts).
   template <typename Annotate, typename Compare>
-  void run_single(NodeId n, const Annotate& annotate, const Compare& better) {
-    // The node's cut set is assembled in place at the arena tail.
-    Cut* tail = store_.alloc_tail(slot_size());
-    store_.commit_tail(n, worker_.build(n, tail, annotate, better));
-  }
-  void run_single(NodeId n) {
-    run_single(n, CutNoAnnotate{}, CutDefaultBetter{});
+  void run_slot(std::size_t slot, NodeId n, const Annotate& annotate,
+                const Compare& better) {
+    run_slot(worker_, slot, n, annotate, better);
   }
 
-  /// run_single() for node \p n at position \p slot of a reset_slots()
-  /// schedule, on \p worker's working set.  Threads with distinct workers
+  /// run_slot() on \p worker's working set.  Threads with distinct workers
   /// may build distinct nodes at once, provided each node's fanin and
   /// member sets were committed, and published to the building thread,
   /// before it starts.
@@ -416,8 +412,8 @@ class CutEnumerator {
   }
 
   /// Records one finished enumeration pass over \p num_nodes nodes in the
-  /// cut counters.  run() calls it; callers that drive run_single() or
-  /// run_slot() themselves call it once per pass.
+  /// cut counters.  run() calls it; callers that drive run_slot()
+  /// themselves call it once per pass.
   void count_pass(std::size_t num_nodes) const {
     static obs::Counter& runs = obs::counter("cut.enum_runs");
     static obs::Counter& nodes = obs::counter("cut.nodes_enumerated");
@@ -427,7 +423,7 @@ class CutEnumerator {
     cuts.add(store_.total_cuts());
   }
 
-  /// The cut set of \p n.  Valid until the next run_single()/reset() (the
+  /// The cut set of \p n.  Valid until the next reset() or run() (the
   /// arena may move when it grows).
   std::span<const Cut> cuts(NodeId n) const noexcept { return store_.cuts(n); }
 

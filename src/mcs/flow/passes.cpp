@@ -224,10 +224,8 @@ void register_core_passes(PassRegistry& registry) {
             const std::uint64_t seed = ctx.seed != 0 ? ctx.seed : 0xc0ffee;
             const std::string checked = check_subjects(
                 ctx, [&](const Network& subject, const std::string& label) {
-                  const std::ptrdiff_t diff_po =
-                      sim_falsify(*ctx.original, subject,
-                                  static_cast<int>(words), seed,
-                                  ctx.par.num_threads);
+                  const std::ptrdiff_t diff_po = sim_falsify(
+                      *ctx.original, subject, static_cast<int>(words), seed);
                   if (diff_po >= 0) {
                     throw FlowError("NOT equivalent on random vectors (PO " +
                                     std::to_string(diff_po) + ")" + label);

@@ -411,7 +411,7 @@ class AsicMapper {
   void mapping_pass(Mode mode) {
     obs::Span span("cut:enum");
     // Persistent enumerator: reset() keeps the cut arena across passes.
-    enumerator_.reset();
+    enumerator_.reset(order_.size());
     // Priority cuts: rank every cut by the cost of its best library match,
     // so cheap-to-realize structures survive the per-node cut cap even when
     // choice merging floods the set.
@@ -449,9 +449,10 @@ class AsicMapper {
     };
 
     const bool exact = mode == Mode::kExactArea;
-    for (const NodeId n : order_) {
+    for (std::size_t i = 0; i < order_.size(); ++i) {
+      const NodeId n = order_[i];
       if (!net_.is_gate(n)) {
-        enumerator_.run_single(n, annotate, cut_better);
+        enumerator_.run_slot(i, n, annotate, cut_better);
         init_source(n);
         continue;
       }
@@ -481,7 +482,7 @@ class AsicMapper {
       st.ph[0].arrival = st.ph[1].arrival = kInf;
       st.ph[0].area_flow = st.ph[1].area_flow = kInf;
 
-      enumerator_.run_single(n, annotate, cut_better);
+      enumerator_.run_slot(i, n, annotate, cut_better);
       for (const Cut& cut : enumerator_.cuts(n)) {
         if (cut.is_trivial()) continue;
         consider_match(n, mode, cut);

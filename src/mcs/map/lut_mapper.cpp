@@ -297,7 +297,7 @@ class LutMapper {
   /// serial topological order, whatever the thread count.
   void flow_pass(bool delay_first) {
     obs::Span span("cut:enum");
-    enumerator_.reset_slots(schedule_.size());
+    enumerator_.reset(schedule_.size());
     for (const NodeId n : schedule_) {
       flags_[n].store(kPending, std::memory_order_relaxed);
     }
@@ -399,7 +399,7 @@ class LutMapper {
   /// re-referenced afterwards (incremental cover update).
   void exact_area_pass() {
     obs::Span span("cut:enum");
-    enumerator_.reset();
+    enumerator_.reset(order_.size());
     auto annotate = [this](NodeId n, Cut& c) {
       if (!net_.is_gate(n)) {
         c.delay = 0.0f;
@@ -409,15 +409,16 @@ class LutMapper {
       c.delay = cut_delay(c);
       c.area_flow = cut_exact_area_probe(c);
     };
-    for (const NodeId n : order_) {
+    for (std::size_t pos = 0; pos < order_.size(); ++pos) {
+      const NodeId n = order_[pos];
       auto& st = state_[n];
       const bool in_cover = net_.is_gate(n) && st.map_refs > 0;
       if (in_cover) {
         const Cut& c = st.best;
         for (int i = 0; i < c.size; ++i) area_deref(c.leaves[i]);
       }
-      enumerator_.run_single(n, LeafOnlyAnnotate{annotate},
-                             CutOrder{false, st.required});
+      enumerator_.run_slot(pos, n, LeafOnlyAnnotate{annotate},
+                           CutOrder{false, st.required});
       take_best(n);
       if (in_cover) {
         const Cut& c = st.best;

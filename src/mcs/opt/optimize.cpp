@@ -1,7 +1,7 @@
 #include "mcs/opt/optimize.hpp"
 
 #include <algorithm>
-#include <memory>
+#include <optional>
 #include <queue>
 #include <unordered_map>
 
@@ -10,8 +10,7 @@
 #include "mcs/resyn/npn_db.hpp"
 #include "mcs/resyn/sop.hpp"
 #include "mcs/resyn/strategies.hpp"
-#include "mcs/sat/cnf.hpp"
-#include "mcs/sat/solver.hpp"
+#include "mcs/sat/miter.hpp"
 #include "mcs/sim/simulator.hpp"
 #include "mcs/sweep/sweep.hpp"
 
@@ -177,18 +176,10 @@ std::vector<NodeId> divisor_window(const Network& net, NodeId n,
 
 Network resub(const Network& net, const ResubParams& params) {
   RandomSimulation sim(net, params.sim_words, params.sim_seed);
-  auto solver_ptr = std::make_unique<sat::Solver>();
-  auto cnf_ptr = std::make_unique<sat::CnfMapping>(net.size());
-  sat::encode_network(net, *solver_ptr, *cnf_ptr);
-  const std::size_t base_clauses = solver_ptr->num_clauses();
-  auto refresh_solver = [&]() {
-    if (solver_ptr->num_clauses() >
-        base_clauses + params.solver_clause_budget) {
-      solver_ptr = std::make_unique<sat::Solver>();
-      cnf_ptr = std::make_unique<sat::CnfMapping>(net.size());
-      sat::encode_network(net, *solver_ptr, *cnf_ptr);
-    }
-  };
+  // topo_order() visits the PO cones only, and divisors lie in the cone of
+  // their node, so encoding the PO cones up front covers every proof.
+  sat::IncrementalMiter miter(net);
+  miter.encode(net.pos());
 
   struct Replacement {
     GateType type;
@@ -241,27 +232,12 @@ Network resub(const Network& net, const ResubParams& params) {
           }
           if (!eq && !eq_compl) continue;
           const bool phase = !eq;
-          // SAT proof: n == op(a, b) ^ phase everywhere.
-          refresh_solver();
-          sat::Solver& solver = *solver_ptr;
-          sat::CnfMapping& cnf = *cnf_ptr;
-          const sat::Var g = solver.new_var();
-          sat::encode_gate(solver, op.type, sat::mk_lit(g),
-                           sat::mk_lit(cnf.var_of_node(window[i]), op.ca),
-                           sat::mk_lit(cnf.var_of_node(window[j]), op.cb),
-                           0);
-          const sat::Var t = solver.new_var();
-          const sat::Lit lt = sat::mk_lit(t);
-          const sat::Lit ln = sat::mk_lit(cnf.var_of_node(n));
-          const sat::Lit lg = sat::mk_lit(g, phase);
-          solver.add_clause(sat::negate(lt), ln, lg);
-          solver.add_clause(sat::negate(lt), sat::negate(ln),
-                            sat::negate(lg));
-          if (solver.solve({lt}, params.conflict_limit) ==
-              sat::Result::kUnsat) {
-            solver.add_clause(sat::negate(lt));
-            repl[n] = Replacement{op.type, Signal(window[i], op.ca),
-                                  Signal(window[j], op.cb), phase};
+          // SAT proof: n ^ phase == op(a, b) everywhere.
+          const Signal a(window[i], op.ca);
+          const Signal b(window[j], op.cb);
+          if (miter.prove_gate(Signal(n, phase), op.type, a, b,
+                               params.conflict_limit) == sat::Result::kUnsat) {
+            repl[n] = Replacement{op.type, a, b, phase};
             done = true;
             break;
           }

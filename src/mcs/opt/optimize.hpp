@@ -38,13 +38,14 @@ struct ResubParams {
   /// SAT budget per resubstitution check, as Solver::solve counts it:
   /// conflicts since the last restart, so 300 allows up to 1,836.
   std::int64_t conflict_limit = 300;
-  std::size_t solver_clause_budget = 60000;  ///< re-encode past this growth
   GateBasis basis = GateBasis::xmg();
 };
 
 /// Simulation-guided, SAT-verified resubstitution: re-expresses a node as
 /// one gate over two existing divisors when that saves its MFFC (the "rs"
-/// passes of ABC's compress2rs).
+/// passes of ABC's compress2rs).  Candidates that match on the simulation
+/// words are proven on one sat::IncrementalMiter over the PO cones; a
+/// refuted or undecided candidate leaves the node as it is.
 Network resub(const Network& net, const ResubParams& params = {});
 
 struct RewriteParams {

@@ -2,12 +2,13 @@
 /// \brief A persistent worker pool that runs indexed batches.
 ///
 /// This is the execution substrate of the `mcs::par` subsystem and of every
-/// other parallel phase in the library (partitioning, reassembly, simulation,
-/// sweeping, CEC).  submit_bulk() is its one entry point: one batch object,
-/// on the caller's stack, fans N indexed calls out to the workers *and the
-/// calling thread*; indices are claimed through an atomic cursor, optionally
-/// through a caller-given claim order (the shard driver passes
-/// largest-shard-first).  No per-call std::function allocation happens.
+/// other parallel phase in the library (partitioning, reassembly, sweeping,
+/// CEC's enumeration, LUT mapping's flow passes).  submit_bulk() is its one
+/// entry point: one batch object, on the caller's stack, fans N indexed
+/// calls out to the workers *and the calling thread*; indices are claimed
+/// through an atomic cursor, optionally through a caller-given claim order
+/// (the shard driver passes largest-shard-first).  No per-call
+/// std::function allocation happens.
 ///
 /// Determinism contract: scheduling never influences *what* is computed --
 /// only wall-clock time.  submit_bulk() writes results wherever fn(i) writes

@@ -222,11 +222,9 @@ CecResult check_equivalence(const Network& a, const Network& b,
   obs::Span cec_span("cec:check");
   obs::counter("cec.checks").increment();
 
-  // Stage 1: random-simulation falsification (level-blocked parallel; PI
-  // words are seed-derived per interface index, so both networks see the
-  // same vectors and any thread count sees the same values).
-  if (sim_falsify(a, b, opts.sim_words, opts.sim_seed, opts.num_threads) >=
-      0) {
+  // Stage 1: random-simulation falsification (PI words are seed-derived
+  // per interface index, so both networks see the same vectors).
+  if (sim_falsify(a, b, opts.sim_words, opts.sim_seed) >= 0) {
     obs::counter("cec.sim_refuted").increment();
     return CecResult::kNotEquivalent;
   }

@@ -34,12 +34,12 @@ struct CecOptions {
   /// any budget; otherwise a spent budget returns kUnknown.
   std::int64_t conflict_limit = -1;
 
-  /// Worker threads for the simulation stages and the fraig passes; values
-  /// < 1 resolve through ThreadPool::resolve_threads (MCS_THREADS /
-  /// hardware).  The SAT solves are serial, enumeration is complete, and
-  /// the fraig passes spend the same conflicts for any thread count, so the
-  /// verdict -- under any conflict_limit -- never depends on the thread
-  /// count.
+  /// Worker threads for the enumeration of every input pattern and the
+  /// fraig passes; values < 1 resolve through ThreadPool::resolve_threads
+  /// (MCS_THREADS / hardware).  Random simulation and the SAT solves are
+  /// serial, enumeration is complete, and the fraig passes spend the same
+  /// conflicts for any thread count, so the verdict -- under any
+  /// conflict_limit -- never depends on the thread count.
   int num_threads = 1;
 };
 

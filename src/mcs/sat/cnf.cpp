@@ -42,26 +42,4 @@ void encode_gate(Solver& solver, GateType type, Lit y, Lit a, Lit b, Lit c) {
   }
 }
 
-void encode_network(const Network& net, Solver& solver, CnfMapping& mapping) {
-  // Constant node.
-  if (!mapping.has_var(0)) {
-    const Var v = solver.new_var();
-    mapping.set_var(0, v);
-    solver.add_clause(mk_lit(v, true));
-  }
-  for (NodeId n = 1; n < net.size(); ++n) {
-    if (!mapping.has_var(n)) mapping.set_var(n, solver.new_var());
-  }
-  for (NodeId n = 1; n < net.size(); ++n) {
-    const Node& nd = net.node(n);
-    if (!net.is_gate(n)) continue;
-    const Lit y = mk_lit(mapping.var_of_node(n));
-    const Lit a = mapping.lit(nd.fanin[0]);
-    const Lit b = mapping.lit(nd.fanin[1]);
-    const Lit c =
-        nd.num_fanins == 3 ? mapping.lit(nd.fanin[2]) : Lit{0};
-    encode_gate(solver, nd.type, y, a, b, c);
-  }
-}
-
 }  // namespace mcs::sat

@@ -28,12 +28,6 @@ class CnfMapping {
   std::vector<Var> node_var_;
 };
 
-/// Encodes every node of \p net (including choice members and dangling
-/// cones) into \p solver.  PIs get fresh variables unless pre-assigned in
-/// \p mapping (enables PI sharing for miters).  The constant node is encoded
-/// as a variable forced to 0.
-void encode_network(const Network& net, Solver& solver, CnfMapping& mapping);
-
 /// Adds the clauses for a single gate given fanin literals.
 void encode_gate(Solver& solver, GateType type, Lit out, Lit a, Lit b, Lit c);
 

@@ -1,5 +1,7 @@
 #include "mcs/sat/miter.hpp"
 
+#include <cassert>
+
 #include "mcs/network/network_utils.hpp"
 
 namespace mcs::sat {
@@ -44,8 +46,22 @@ Result IncrementalMiter::prove_equal(Signal a, Signal b,
                                      std::int64_t conflict_limit) {
   encode(a);
   encode(b);
-  const Lit la = cnf_.lit(a);
-  const Lit lb = cnf_.lit(b);
+  return prove_lits_equal(cnf_.lit(a), cnf_.lit(b), conflict_limit);
+}
+
+Result IncrementalMiter::prove_gate(Signal n, GateType type, Signal a,
+                                    Signal b, std::int64_t conflict_limit) {
+  assert(type == GateType::kAnd2 || type == GateType::kXor2);
+  encode(n);
+  encode(a);
+  encode(b);
+  const Lit g = mk_lit(solver_.new_var());
+  encode_gate(solver_, type, g, cnf_.lit(a), cnf_.lit(b), Lit{0});
+  return prove_lits_equal(cnf_.lit(n), g, conflict_limit);
+}
+
+Result IncrementalMiter::prove_lits_equal(Lit la, Lit lb,
+                                          std::int64_t conflict_limit) {
   const Var t = solver_.new_var();
   const Lit lt = mk_lit(t);
   // t -> (a != b): asserting t makes the solver search a distinguishing

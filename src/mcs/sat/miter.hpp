@@ -1,16 +1,16 @@
 /// \file miter.hpp
 /// \brief Incremental, assumption-based equivalence miters over one network.
 ///
-/// The SAT-sweeping engine (mcs/sweep) proves many candidate equalities
-/// against the same network.  Paying one monolithic encode_network per
-/// solver -- what the legacy sweep and DCH did -- makes every proof carry
-/// the whole circuit; paying a fresh solver per pair throws the learnt
-/// clauses away.  IncrementalMiter is the middle ground one worker holds
-/// per proof batch: cones are Tseitin-encoded lazily (a node is encoded at
-/// most once, shared cones are shared), each query is activated through a
-/// fresh assumption literal that is retired afterwards, and proven
-/// equalities can be asserted permanently so later miters over the same
-/// cone collapse (proof cascading).
+/// The SAT client of every pass that proves equalities against one
+/// network: the sweeping engine (mcs/sweep), CEC and resubstitution.
+/// Encoding the whole network per solver makes every proof carry the whole
+/// circuit; paying a fresh solver per pair throws the learnt clauses away.
+/// IncrementalMiter is the middle ground one worker holds per proof batch:
+/// cones are Tseitin-encoded lazily (a node is encoded at most once, shared
+/// cones are shared), each query is activated through a fresh assumption
+/// literal that is retired afterwards, and proven equalities can be
+/// asserted permanently so later miters over the same cone collapse (proof
+/// cascading).
 
 #pragma once
 
@@ -49,6 +49,12 @@ class IncrementalMiter {
   /// clauses never block later queries.
   Result prove_equal(Signal a, Signal b, std::int64_t conflict_limit);
 
+  /// Proves n == type(a, b) for a two-input candidate gate that is not in
+  /// the network: the gate gets a fresh variable and its clauses, then the
+  /// query runs as in prove_equal().
+  Result prove_gate(Signal n, GateType type, Signal a, Signal b,
+                    std::int64_t conflict_limit);
+
   /// Permanently asserts a == b (both cones are encoded if needed).  Sound
   /// only for proven facts; used for cascading within and across batches.
   void assert_equal(Signal a, Signal b);
@@ -68,6 +74,10 @@ class IncrementalMiter {
   }
 
  private:
+  /// Solves for an input on which \p a != \p b under a one-shot
+  /// activation literal, retired afterwards.
+  Result prove_lits_equal(Lit a, Lit b, std::int64_t conflict_limit);
+
   const Network& net_;
   Solver solver_;
   CnfMapping cnf_;

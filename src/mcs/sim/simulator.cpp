@@ -8,20 +8,11 @@
 #include "mcs/common/hash.hpp"
 #include "mcs/common/rng.hpp"
 #include "mcs/obs/obs.hpp"
-#include "mcs/par/thread_pool.hpp"
 
 namespace mcs {
 
-namespace {
-
-/// Minimum gates on one level before the sweep fans that level out; below
-/// this the submit_bulk bookkeeping costs more than the evaluation.
-constexpr std::size_t kParallelGrain = 128;
-
-}  // namespace
-
 RandomSimulation::RandomSimulation(const Network& net, int num_words,
-                                   std::uint64_t seed, int num_threads,
+                                   std::uint64_t seed,
                                    int reserve_extra_words)
     : net_(net),
       num_words_(num_words),
@@ -40,71 +31,17 @@ RandomSimulation::RandomSimulation(const Network& net, int num_words,
                  0ull);
 
   // PI words are a pure function of (seed, interface index) -- never of a
-  // shared generator's draw order -- so any evaluation schedule (and any
-  // network with the same PI count) sees identical input vectors.
+  // shared generator's draw order -- so any network with the same PI count
+  // sees identical input vectors.
   for (std::size_t i = 0; i < net.num_pis(); ++i) {
     Rng rng(hash_combine(hash_mix64(seed), i + 1));
     std::uint64_t* w = mutable_values(net.pi_at(i));
     for (int k = 0; k < num_words_; ++k) w[k] = rng.next();
   }
 
-  auto eval = [&](NodeId n) { eval_node(n, 0, num_words_); };
-
-  const std::size_t threads = ThreadPool::resolve_threads(num_threads);
-  if (threads <= 1) {
-    // The node array is a topological order by construction.
-    for (NodeId n = 0; n < net.size(); ++n) {
-      if (net.is_gate(n)) eval(n);
-    }
-    return;
-  }
-
-  // Level-blocked parallel sweep: gates of one level depend only on lower
-  // levels (fanin levels are strictly smaller), so each level block fans
-  // out freely; blocks run in ascending level order.  Every gate writes
-  // exactly its own words, so values are bit-identical to the serial sweep
-  // for any thread count.  Levels are used instead of a plain node-range
-  // split because node ids within a level are NOT contiguous.
-  std::uint32_t max_level = 0;
-  std::size_t num_gates = 0;
+  // The node array is a topological order by construction.
   for (NodeId n = 0; n < net.size(); ++n) {
-    if (!net.is_gate(n)) continue;
-    max_level = std::max(max_level, net.level(n));
-    ++num_gates;
-  }
-  std::vector<std::size_t> offset(max_level + 2, 0);
-  for (NodeId n = 0; n < net.size(); ++n) {
-    if (net.is_gate(n)) ++offset[net.level(n) + 1];
-  }
-  for (std::size_t l = 1; l < offset.size(); ++l) offset[l] += offset[l - 1];
-  std::vector<NodeId> by_level(num_gates);
-  {
-    std::vector<std::size_t> cursor(offset.begin(), offset.end() - 1);
-    for (NodeId n = 0; n < net.size(); ++n) {
-      if (net.is_gate(n)) by_level[cursor[net.level(n)]++] = n;
-    }
-  }
-
-  ThreadPool& pool = ThreadPool::global();
-  for (std::uint32_t l = 1; l <= max_level; ++l) {
-    const std::size_t begin = offset[l];
-    const std::size_t count = offset[l + 1] - begin;
-    if (count == 0) continue;
-    if (count < 2 * kParallelGrain) {
-      for (std::size_t k = 0; k < count; ++k) eval(by_level[begin + k]);
-      continue;
-    }
-    const std::size_t chunks =
-        std::min(threads * 2, (count + kParallelGrain - 1) / kParallelGrain);
-    const std::size_t chunk = (count + chunks - 1) / chunks;
-    pool.submit_bulk(
-        chunks,
-        [&](std::size_t c) {
-          const std::size_t lo = begin + c * chunk;
-          const std::size_t hi = std::min(begin + count, lo + chunk);
-          for (std::size_t k = lo; k < hi; ++k) eval(by_level[k]);
-        },
-        threads);
+    if (net.is_gate(n)) eval_node(n, 0, num_words_);
   }
 }
 
@@ -140,9 +77,6 @@ void RandomSimulation::add_pattern_words(
       w[w0 + k] = pi_words[static_cast<std::size_t>(k) * net_.num_pis() + i];
     }
   }
-  // A handful of words across the whole network is cheap; the serial
-  // ascending-id sweep (a valid topological order) keeps the result
-  // trivially deterministic.
   for (NodeId n = 0; n < net_.size(); ++n) {
     if (net_.is_gate(n)) eval_node(n, w0, w0 + count);
   }
@@ -186,11 +120,11 @@ bool RandomSimulation::values_equal(Signal a, Signal b) const noexcept {
 }
 
 std::ptrdiff_t sim_falsify(const Network& a, const Network& b, int num_words,
-                           std::uint64_t seed, int num_threads) {
+                           std::uint64_t seed) {
   assert(a.num_pis() == b.num_pis());
   assert(a.num_pos() == b.num_pos());
-  const RandomSimulation sa(a, num_words, seed, num_threads);
-  const RandomSimulation sb(b, num_words, seed, num_threads);
+  const RandomSimulation sa(a, num_words, seed);
+  const RandomSimulation sb(b, num_words, seed);
   for (std::size_t i = 0; i < a.num_pos(); ++i) {
     const Signal pa = a.po_at(i);
     const Signal pb = b.po_at(i);

@@ -69,14 +69,12 @@ inline void eval_gate_words(GateType type,
 /// Random word-parallel simulation.
 ///
 /// Every node (including choice members and dangling candidate cones) gets
-/// `num_words` 64-bit values.  PI words are *seed-derived per node*: the
-/// words of the i-th interface PI are a pure function of (seed, i), never
-/// of any draw order.  Two consequences:
-///   - two networks with the same PI count see identical input vectors for
-///     the same seed (what the CEC falsification stage relies on), and
-///   - evaluation order is free, so the gate sweep can run level-blocked
-///     on \p num_threads workers (all gates of one level are independent)
-///     with bit-identical values for any thread count.
+/// `num_words` 64-bit values, computed in one serial sweep in ascending
+/// node-id order (a topological order).  PI words are *seed-derived per
+/// node*: the words of the i-th interface PI are a pure function of
+/// (seed, i), never of any draw order, so two networks with the same PI
+/// count see identical input vectors for the same seed (what the CEC
+/// falsification stage relies on).
 ///
 /// Incremental re-simulation: construction may *budget* capacity for extra
 /// words (\p reserve_extra_words) and add_pattern_words() then appends
@@ -89,13 +87,10 @@ inline void eval_gate_words(GateType type,
 /// reservation in memory or in construction-time zero-fill.
 class RandomSimulation {
  public:
-  /// \p num_threads: workers for the gate sweep; values < 1 resolve via
-  /// ThreadPool::resolve_threads (MCS_THREADS / hardware).  The computed
-  /// values are identical for every thread count.
   /// \p reserve_extra_words: budget for add_pattern_words() calls (not
   /// allocated until the first call actually needs it).
   RandomSimulation(const Network& net, int num_words, std::uint64_t seed,
-                   int num_threads = 1, int reserve_extra_words = 0);
+                   int reserve_extra_words = 0);
 
   int num_words() const noexcept { return num_words_; }
 
@@ -147,7 +142,7 @@ class RandomSimulation {
 /// complement flags), or -1 when every PO agrees on every vector.  This is
 /// CEC stage 1 and the flow `sim` pass -- one implementation for both.
 std::ptrdiff_t sim_falsify(const Network& a, const Network& b, int num_words,
-                           std::uint64_t seed, int num_threads = 1);
+                           std::uint64_t seed);
 
 /// Exhaustive simulation: complete truth table of every PO over the PIs.
 /// \pre net.num_pis() <= TruthTable::kMaxVars.

@@ -42,8 +42,8 @@
 namespace mcs {
 
 struct FraigParams {
-  /// Worker threads for simulation and the proof batches; values < 1
-  /// resolve through ThreadPool::resolve_threads (MCS_THREADS / hardware).
+  /// Worker threads for the proof batches; values < 1 resolve through
+  /// ThreadPool::resolve_threads (MCS_THREADS / hardware).
   int num_threads = 1;
   int sim_words = 16;                  ///< random words seeding the classes
   std::uint64_t sim_seed = 0xdead5eed;

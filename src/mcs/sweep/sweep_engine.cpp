@@ -77,7 +77,7 @@ std::vector<ProvenEquiv> sweep_equivalences(const Network& net,
 
   const int max_rounds = std::max(1, params.max_rounds);
   RandomSimulation sim(
-      net, params.sim_words, params.sim_seed, params.num_threads,
+      net, params.sim_words, params.sim_seed,
       /*reserve_extra_words=*/
       max_rounds <= 4 ? max_rounds * kMaxCexWordsPerRound : kMaxReserveWords);
 

@@ -21,11 +21,7 @@ void register_sweep_passes(PassRegistry& registry) {
       .name = "fraig",
       .summary = "parallel SAT sweeping (sim classes + cex-refined proofs)",
       .kind = PassKind::kTransform,
-      .params = {{.key = "threads",
-                  .type = ParamType::kInt,
-                  .default_value = "0",
-                  .help = "proof workers; 0 = the flow `threads` setting"},
-                 {.key = "conflicts",
+      .params = {{.key = "conflicts",
                   .type = ParamType::kInt,
                   .default_value = "300",
                   .help = "SAT budget per candidate pair, counted since "
@@ -43,9 +39,7 @@ void register_sweep_passes(PassRegistry& registry) {
       .run =
           [](FlowContext& ctx, const PassArgs& args) {
             FraigParams params;
-            const long long threads = args.get_int("threads");
-            params.num_threads = threads > 0 ? static_cast<int>(threads)
-                                             : ctx.par.num_threads;
+            params.num_threads = ctx.par.num_threads;
             params.conflict_limit = args.get_int("conflicts");
             params.max_rounds = static_cast<int>(args.get_int("rounds"));
             if (params.max_rounds < 1) {

@@ -118,7 +118,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CutEnumerationOnRandomNets,
                          ::testing::Values(1, 2, 3, 4));
 
 TEST(CutEnumeration, ArenaResetReproducesIdenticalCutSets) {
-  // reset() must rewind the arena without changing results: two passes over
+  // reset() must clear the slots without changing results: two passes over
   // the same order yield bit-identical cut sets (the mappers rely on this
   // for their re-enumerating recovery passes).
   const auto net = mcs::testing::random_network(
@@ -133,7 +133,7 @@ TEST(CutEnumeration, ArenaResetReproducesIdenticalCutSets) {
     first[n].assign(cuts.begin(), cuts.end());
   }
 
-  enumerator.reset();
+  enumerator.reset(order.size());
   for (const NodeId n : order) {
     EXPECT_TRUE(enumerator.cuts(n).empty()) << "reset must clear all spans";
   }

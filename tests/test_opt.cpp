@@ -7,6 +7,7 @@
 #include "mcs/network/network_utils.hpp"
 #include "mcs/opt/optimize.hpp"
 #include "mcs/sat/cec.hpp"
+#include "mcs/sim/simulator.hpp"
 #include "mcs/sweep/sweep.hpp"
 #include "test_util.hpp"
 
@@ -117,6 +118,35 @@ TEST(Resub, RecoversSharedSubexpressions) {
   net.create_po(g);
   const Network rs = resub(net);
   EXPECT_LE(rs.num_gates(), net.num_gates());
+  EXPECT_EQ(check_equivalence(net, rs), CecResult::kEquivalent);
+}
+
+TEST(Resub, KeepsNodeWhenSatRefutesSimulatedMatch) {
+  // n = MAJ(a, b, !r) with r an AND of 14 inputs: r is 0 on all of resub's
+  // simulation words, so there n reads a | b = !AND(!a, !b), a candidate
+  // over n's first divisor pair.  SAT refutes it (r = 1, a != b), so n
+  // must survive.
+  Network net;
+  const Signal a = net.create_pi();
+  const Signal b = net.create_pi();
+  Signal r = net.create_pi();
+  for (int i = 1; i < 14; ++i) r = net.create_and(r, net.create_pi());
+  const Signal n = net.create_maj(a, b, !r);
+  net.create_po(n);
+
+  const ResubParams params;
+  const RandomSimulation sim(net, params.sim_words, params.sim_seed);
+  const std::uint64_t* wn = sim.node_values(n.node());
+  const std::uint64_t* wa = sim.node_values(a.node());
+  const std::uint64_t* wb = sim.node_values(b.node());
+  for (int w = 0; w < params.sim_words; ++w) {
+    ASSERT_EQ(wn[w] ^ (n.complemented() ? ~0ull : 0ull), wa[w] | wb[w])
+        << "the candidate must match on the simulation words";
+  }
+
+  const Network rs = resub(net, params);
+  EXPECT_EQ(rs.num_gates(), net.num_gates());
+  EXPECT_EQ(rs.node(rs.po_at(0).node()).type, GateType::kMaj3);
   EXPECT_EQ(check_equivalence(net, rs), CecResult::kEquivalent);
 }
 

@@ -264,6 +264,35 @@ TEST(Cec, SignalEquivalenceInsideNetwork) {
   EXPECT_EQ(miter.prove_equal(r, other, -1), Result::kSat);
 }
 
+TEST(IncrementalMiter, ProveGateProvesRefutesAndRetiresItsQueries) {
+  // r = (a & b) & c; the candidate gates over a and b & c are not in the
+  // network.  All queries run on one miter.
+  Network net;
+  const auto a = net.create_pi(), b = net.create_pi(), c = net.create_pi();
+  const auto bc = net.create_and(b, c);
+  const auto r = net.create_and(net.create_and(a, b), c);
+  const auto m = net.create_and(a, bc);
+  net.create_po(r);
+  net.create_po(m);
+  sat::IncrementalMiter miter(net);
+
+  // The same AND in a different shape, and its complement.
+  EXPECT_EQ(miter.prove_gate(r, GateType::kAnd2, a, bc, -1), Result::kUnsat);
+  EXPECT_EQ(miter.prove_gate(!r, GateType::kAnd2, a, bc, -1), Result::kSat);
+
+  // A wrong gate: the model is an input on which r and a ^ (b & c) differ.
+  ASSERT_EQ(miter.prove_gate(r, GateType::kXor2, a, bc, -1), Result::kSat);
+  const bool va = miter.pi_model(0);
+  const bool vb = miter.pi_model(1);
+  const bool vc = miter.pi_model(2);
+  EXPECT_NE(va && vb && vc, va != (vb && vc));
+
+  // Retired activation literals constrain nothing: later queries on the
+  // same miter still decide both ways.
+  EXPECT_EQ(miter.prove_equal(r, m, -1), Result::kUnsat);
+  EXPECT_EQ(miter.prove_equal(r, bc, -1), Result::kSat);
+}
+
 TEST(Cec, WideMiterClosesThroughFraigPasses) {
   // Four copies of a 6-bit multiplier against four of its resynthesized
   // XMG: 48 inputs are too many to enumerate, the opening 2000-conflict

@@ -190,7 +190,7 @@ TEST(Sweep, Mult64CecNotFalsified) {
   params.num_threads = 4;
   const Network result = fraig(net, params);
   EXPECT_LE(result.num_gates(), net.num_gates());
-  EXPECT_EQ(sim_falsify(net, result, 64, 0xf4a16, 4), -1);
+  EXPECT_EQ(sim_falsify(net, result, 64, 0xf4a16), -1);
   CecOptions copts;
   copts.num_threads = 4;
   copts.conflict_limit = 500;
