@@ -4,10 +4,13 @@
 ///
 /// A table names its circuits, a prefix spec and columns of tail specs.
 /// Per circuit, the circuit's `gen` stage plus the prefix runs once (tables
-/// with the same prefix and scale share that run); each column then runs
-/// its tail and `sim` on a copy of the prefix's FlowContext.  Text tables go
-/// to stdout.  With MCS_BENCH_OUT set, one JSON row per (table, circuit,
-/// column) goes there: the replayable spec, the library, `ok` and the QoR
+/// with the same prefix and scale share that run).  Columns whose tails
+/// begin with the same stages under the same library run those stages once,
+/// on a copy of the prefix's FlowContext; each column then runs the rest of
+/// its tail and `sim` on a copy of that context (or of the prefix's), and
+/// its text cell times only what it ran itself.  Text tables go to stdout.
+/// With MCS_BENCH_OUT set, one JSON row per (table, circuit, column) goes
+/// there: the replayable spec (the whole tail), the library, `ok` and the QoR
 /// (LUTs/levels or area/delay, and choices); a prefix that maps also gets a
 /// row, "prefix".  BENCH_qor.json is that output at MCS_SCALE=0.3, and
 /// bench/compare_bench.py fails on any QoR difference from it.
@@ -136,6 +139,33 @@ struct Prefix {
   Result mapped;  ///< the prefix's last LUT mapping, if any
 };
 
+/// The stages of a tail: "a; b:k=v" -> {"a", "b:k=v"}.
+std::vector<std::string> stages_of(const char* tail) {
+  std::vector<std::string> out;
+  std::string rest = tail;
+  for (std::size_t end; (end = rest.find("; ")) != std::string::npos;
+       rest.erase(0, end + 2)) {
+    out.push_back(rest.substr(0, end));
+  }
+  out.push_back(rest);
+  return out;
+}
+
+/// How many leading stages of \p c's tail another column of \p t, under
+/// the same library, begins with too (the most over all such columns).
+std::size_t num_shared_stages(const Table& t, const Column& c) {
+  const std::vector<std::string> mine = stages_of(c.tail);
+  std::size_t best = 0;
+  for (const Column& o : t.columns) {
+    if (&o == &c || o.lib != c.lib) continue;
+    const std::vector<std::string> other = stages_of(o.tail);
+    const auto diff =
+        std::mismatch(mine.begin(), mine.end(), other.begin(), other.end());
+    best = std::max(best, static_cast<std::size_t>(diff.first - mine.begin()));
+  }
+  return best;
+}
+
 Result result_of(const flow::FlowContext& ctx, const flow::FlowReport& r) {
   Result out;
   out.ok = r.ok;
@@ -239,11 +269,33 @@ bool run_table(const Table& t, std::map<std::string, Prefix>& prefixes) {
     }
     std::printf("%-11s", bc.name.c_str());
     std::vector<Result> row;
+    // This circuit's shared stage runs, by library and stages.
+    std::map<std::pair<TechLibrary (*)(), std::string>, Prefix> shared;
     for (const Column& c : t.columns) {
-      flow::FlowContext ctx = p.ctx;
+      const std::vector<std::string> stages = stages_of(c.tail);
+      const std::size_t num_shared = num_shared_stages(t, c);
+      std::string head, rest;
+      for (std::size_t i = 0; i < stages.size(); ++i) {
+        std::string& part = i < num_shared ? head : rest;
+        part += (part.empty() ? "" : "; ") + stages[i];
+      }
+      rest += rest.empty() ? "sim" : "; sim";
+      const Prefix* base = &p;
+      if (num_shared > 0) {
+        auto [at, first] = shared.try_emplace({c.lib, head});
+        if (first) {
+          at->second.ctx = p.ctx;
+          if (c.lib != nullptr) at->second.ctx.lib = c.lib();
+          at->second.report = flow::run_flow(head, at->second.ctx);
+        }
+        base = &at->second;
+      }
+      flow::FlowContext ctx = base->ctx;
       if (c.lib != nullptr) ctx.lib = c.lib();
+      // A failed shared run fails its columns without running them.
+      flow::FlowReport report = base->report;
+      if (report.ok) report = flow::run_flow(rest, ctx);
       const std::string tail = std::string(c.tail) + "; sim";
-      const flow::FlowReport report = flow::run_flow(tail, ctx);
       if (!report.ok) {
         std::fprintf(stderr, "%s / %s / %s: %s\n", t.name, bc.name.c_str(),
                      c.name, report.error.c_str());

@@ -37,10 +37,7 @@ Network build_dch(const std::vector<Network>& snapshots,
   // constant class is disabled (a constant is no useful choice member).
   FraigParams fp;
   fp.num_threads = params.num_threads;
-  fp.sim_words = params.sim_words;
   fp.sim_seed = params.sim_seed;
-  fp.conflict_limit = params.conflict_limit;
-  fp.max_pairs = params.max_pairs;
   fp.sweep_constants = false;
   fp.include_dangling = true;
   FraigStats fs;

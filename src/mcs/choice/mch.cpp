@@ -93,8 +93,7 @@ Network build_mch(const Network& input, const MchParams& params,
       std::count(critical.begin(), critical.end(), true));
 
   // Line 3: cut enumeration on the original nodes (no choices exist yet).
-  CutEnumerator cuts(net, {.cut_size = params.cut_size,
-                           .cut_limit = params.cut_limit});
+  CutEnumerator cuts(net, {.cut_size = params.cut_size});
   cuts.run(topo_order(net));
 
   const StrategyLibrary default_level = StrategyLibrary::level_oriented();

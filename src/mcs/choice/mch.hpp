@@ -35,7 +35,6 @@ namespace mcs {
 /// Parameters of Algorithm 1.
 struct MchParams {
   int cut_size = 4;      ///< k: maximum cut size for candidate extraction
-  int cut_limit = 8;     ///< l: cuts stored per node
   int mffc_max_pi = 8;   ///< K: maximum MFFC leaf count
   double critical_ratio = 0.9;  ///< r: POs with level >= r * depth are critical
 

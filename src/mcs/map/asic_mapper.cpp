@@ -73,6 +73,12 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
+/// Leaves per cut: library cells have at most 4 pins.
+constexpr int kCutSize = 4;
+
+/// Area-flow passes after the delay pass.
+constexpr int kAreaFlowRounds = 2;
+
 struct Match {
   int cell = -1;
   int num_pins = 0;
@@ -107,8 +113,7 @@ class AsicMapper {
         state_(net.size()),
         order_(params.use_choices ? choice_topo_order(net)
                                   : topo_order(net)),
-        enumerator_(net, {.cut_size = params.cut_size,
-                          .cut_limit = params.cut_limit,
+        enumerator_(net, {.cut_size = kCutSize,
                           .use_choices = params.use_choices}) {
     assert(lib_.inverter() >= 0);
     inv_delay_ = static_cast<float>(lib_.cell(lib_.inverter()).pin_delays[0]);
@@ -162,7 +167,7 @@ class AsicMapper {
     mapping_pass(Mode::kDelay);
     compute_required();
     harvest();
-    for (int i = 0; i < params_.area_flow_rounds; ++i) {
+    for (int i = 0; i < kAreaFlowRounds; ++i) {
       mapping_pass(Mode::kAreaFlow);
       compute_required();
       harvest();

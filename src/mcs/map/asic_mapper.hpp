@@ -24,10 +24,7 @@ namespace mcs {
 struct AsicMapParams {
   enum class Objective { kDelay, kArea };
   Objective objective = Objective::kDelay;
-  int cut_size = 4;   ///< bounded by 4-pin cells
-  int cut_limit = 8;
   bool use_choices = true;
-  int area_flow_rounds = 2;
   int exact_area_rounds = 2;  ///< reference-counted area recovery rounds
 
   /// For the delay objective: fraction by which the frozen delay target is

@@ -14,10 +14,9 @@ namespace mcs {
 Network graph_map(const Network& net, const GraphMapParams& params,
                   GraphMapStats* stats) {
   // Phase 1: cut-based covering (the LUT mapper is exactly the covering
-  // engine needed; LUT size = cut size).
+  // engine needed) with 4-input cuts, the size the NPN database covers.
   LutMapParams lut_params;
-  lut_params.lut_size = params.cut_size;
-  lut_params.cut_limit = params.cut_limit;
+  lut_params.lut_size = 4;
   lut_params.use_choices = params.use_choices;
   lut_params.objective = params.objective == GraphMapParams::Objective::kDepth
                              ? LutMapParams::Objective::kDelay

@@ -21,8 +21,6 @@ namespace mcs {
 
 struct GraphMapParams {
   GateBasis target = GateBasis::xmg();
-  int cut_size = 4;
-  int cut_limit = 8;
   bool use_choices = true;  ///< honor choice classes of the input
   enum class Objective { kDepth, kSize };
   Objective objective = Objective::kSize;

@@ -60,6 +60,9 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 
+/// Area-flow passes after the delay pass.
+constexpr int kAreaFlowRounds = 2;
+
 /// Per-node mapping state across passes.
 struct NodeState {
   Cut best;            ///< current best cut
@@ -129,7 +132,6 @@ class LutMapper {
         order_(params.use_choices ? choice_topo_order(net)
                                   : topo_order(net)),
         enumerator_(net, {.cut_size = params.lut_size,
-                          .cut_limit = params.cut_limit,
                           .use_choices = params.use_choices}),
         flags_(new std::atomic<std::uint32_t>[net.size()]) {
     // One participant per thread, but never more than there are chunks.
@@ -192,7 +194,7 @@ class LutMapper {
     compute_cover_and_required();
     harvest();
     // Area-flow recovery.
-    for (int i = 0; i < params_.area_flow_rounds; ++i) {
+    for (int i = 0; i < kAreaFlowRounds; ++i) {
       flow_pass(/*delay_first=*/false);
       compute_cover_and_required();
       harvest();

@@ -22,7 +22,6 @@ namespace mcs {
 
 struct LutMapParams {
   int lut_size = 6;   ///< K
-  int cut_limit = 8;  ///< priority cuts per node
   bool use_choices = true;
 
   enum class Objective {
@@ -31,7 +30,6 @@ struct LutMapParams {
   };
   Objective objective = Objective::kArea;
 
-  int area_flow_rounds = 2;
   int exact_area_rounds = 2;
 
   /// Threads for the delay and area-flow passes (the exact-area passes run

@@ -1,5 +1,6 @@
 #include "mcs/network/convert.hpp"
 
+#include <optional>
 #include <vector>
 
 #include "mcs/network/network_utils.hpp"
@@ -7,95 +8,51 @@
 namespace mcs {
 
 Network convert_basis(const Network& net, GateBasis basis) {
-  Network dst;
-  dst.reserve(net.size());
-  const BasisBuilder bb(dst, basis);
-  std::vector<Signal> map(net.size());
-  map[0] = dst.constant(false);
-  for (std::size_t i = 0; i < net.num_pis(); ++i) {
-    map[net.pi_at(i)] = dst.create_pi(net.pi_name(i));
-  }
-  for (const NodeId n : topo_order(net)) {
-    if (!net.is_gate(n)) continue;
-    const Node& nd = net.node(n);
-    std::array<Signal, 3> in{};
-    for (int i = 0; i < nd.num_fanins; ++i) {
-      in[i] = map[nd.fanin[i].node()] ^ nd.fanin[i].complemented();
-    }
-    switch (nd.type) {
-      case GateType::kAnd2:
-        map[n] = bb.and2(in[0], in[1]);
-        break;
-      case GateType::kXor2:
-        map[n] = bb.xor2(in[0], in[1]);
-        break;
-      case GateType::kMaj3:
-        map[n] = bb.maj3(in[0], in[1], in[2]);
-        break;
-      case GateType::kXor3:
-        map[n] = bb.xor3(in[0], in[1], in[2]);
-        break;
-      default:
-        break;
-    }
-  }
-  for (std::size_t i = 0; i < net.num_pos(); ++i) {
-    const Signal s = net.po_at(i);
-    dst.create_po(map[s.node()] ^ s.complemented(), net.po_name(i));
-  }
-  return dst;
+  return rebuild(
+      net, topo_order(net),
+      [&](NodeId n, const std::vector<Signal>& map,
+          Network& dst) -> std::optional<Signal> {
+        const BasisBuilder bb(dst, basis);
+        const std::array<Signal, 3> in = copied_fanins(net, n, map);
+        switch (net.node(n).type) {
+          case GateType::kAnd2:
+            return bb.and2(in[0], in[1]);
+          case GateType::kXor2:
+            return bb.xor2(in[0], in[1]);
+          case GateType::kMaj3:
+            return bb.maj3(in[0], in[1], in[2]);
+          default:  // kXor3
+            return bb.xor3(in[0], in[1], in[2]);
+        }
+      });
 }
 
 Network detect_xors(const Network& net) {
-  Network dst;
-  dst.reserve(net.size());
-  std::vector<Signal> map(net.size());
-  map[0] = dst.constant(false);
-  for (std::size_t i = 0; i < net.num_pis(); ++i) {
-    map[net.pi_at(i)] = dst.create_pi(net.pi_name(i));
-  }
-
   // n = AND(!x, !y), x = AND(xa, xb), y = AND(ya, yb) with {ya, yb} ==
   // {!xa, !xb} computes XOR(xa, xb).  (NOR of the two "both" cases.)
-  auto try_xor = [&](const Node& nd) -> Signal {
-    if (nd.type != GateType::kAnd2) return Signal();
-    const Signal fx = nd.fanin[0];
-    const Signal fy = nd.fanin[1];
-    if (!fx.complemented() || !fy.complemented()) return Signal();
-    const Node& x = net.node(fx.node());
-    const Node& y = net.node(fy.node());
-    if (x.type != GateType::kAnd2 || y.type != GateType::kAnd2) {
-      return Signal();
-    }
-    const Signal xa = x.fanin[0], xb = x.fanin[1];
-    const Signal ya = y.fanin[0], yb = y.fanin[1];
-    const bool match =
-        (ya == !xa && yb == !xb) || (ya == !xb && yb == !xa);
-    if (!match) return Signal();
-    // n = !(xa&xb) & !(!xa&!xb) = xa ^ xb (over the rebuilt signals).
-    const Signal ra = map[xa.node()] ^ xa.complemented();
-    const Signal rb = map[xb.node()] ^ xb.complemented();
-    return dst.create_xor(ra, rb);
-  };
-
-  for (const NodeId n : topo_order(net)) {
-    if (!net.is_gate(n)) continue;
-    const Node& nd = net.node(n);
-    if (const Signal s = try_xor(nd); s != Signal()) {
-      map[n] = s;
-      continue;
-    }
-    std::array<Signal, 3> in{};
-    for (int i = 0; i < nd.num_fanins; ++i) {
-      in[i] = map[nd.fanin[i].node()] ^ nd.fanin[i].complemented();
-    }
-    map[n] = dst.create_gate(nd.type, in);
-  }
-  for (std::size_t i = 0; i < net.num_pos(); ++i) {
-    const Signal s = net.po_at(i);
-    dst.create_po(map[s.node()] ^ s.complemented(), net.po_name(i));
-  }
-  return cleanup(dst);
+  return cleanup(rebuild(
+      net, topo_order(net),
+      [&](NodeId n, const std::vector<Signal>& map,
+          Network& dst) -> std::optional<Signal> {
+        const Node& nd = net.node(n);
+        if (nd.type != GateType::kAnd2) return std::nullopt;
+        const Signal fx = nd.fanin[0];
+        const Signal fy = nd.fanin[1];
+        if (!fx.complemented() || !fy.complemented()) return std::nullopt;
+        const Node& x = net.node(fx.node());
+        const Node& y = net.node(fy.node());
+        if (x.type != GateType::kAnd2 || y.type != GateType::kAnd2) {
+          return std::nullopt;
+        }
+        const Signal xa = x.fanin[0], xb = x.fanin[1];
+        const Signal ya = y.fanin[0], yb = y.fanin[1];
+        const bool match =
+            (ya == !xa && yb == !xb) || (ya == !xb && yb == !xa);
+        if (!match) return std::nullopt;
+        // n = !(xa&xb) & !(!xa&!xb) = xa ^ xb (over the rebuilt signals).
+        return dst.create_xor(map[xa.node()] ^ xa.complemented(),
+                              map[xb.node()] ^ xb.complemented());
+      }));
 }
 
 }  // namespace mcs

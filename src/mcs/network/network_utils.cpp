@@ -334,11 +334,7 @@ Signal rebuild_cone(const Network& src, Network& dst, NodeId old_node,
       if (!mapped[child]) stack.push_back({child, 0});
       continue;
     }
-    std::array<Signal, 3> fi{};
-    for (int i = 0; i < nd.num_fanins; ++i) {
-      fi[i] = map[nd.fanin[i].node()] ^ nd.fanin[i].complemented();
-    }
-    map[n] = dst.create_gate(nd.type, fi);
+    map[n] = dst.create_gate(nd.type, copied_fanins(src, n, map));
     mapped[n] = true;
     stack.pop_back();
   }

@@ -1,8 +1,10 @@
 /// \file network_utils.hpp
-/// \brief Traversal, cone and cleanup utilities over the mixed network.
+/// \brief Traversal, cone, copy and cleanup utilities over the mixed network.
 
 #pragma once
 
+#include <array>
+#include <optional>
 #include <vector>
 
 #include "mcs/network/network.hpp"
@@ -134,6 +136,72 @@ Signal copy_cone(const Network& src, Network& dst, Signal root,
 std::vector<Signal> copy_cones(const Network& src, Network& dst,
                                const std::vector<Signal>& roots,
                                const std::vector<Signal>& pi_map);
+
+/// The fanins of gate \p n of \p src as copied into another network: the
+/// copy \p map holds for each fanin node, with the edge's complement
+/// applied.  Unused fanin slots read the constant 0.
+inline std::array<Signal, 3> copied_fanins(const Network& src, NodeId n,
+                                           const std::vector<Signal>& map) {
+  const Node& nd = src.node(n);
+  std::array<Signal, 3> in{};
+  for (int i = 0; i < nd.num_fanins; ++i) {
+    in[i] = map[nd.fanin[i].node()] ^ nd.fanin[i].complemented();
+  }
+  return in;
+}
+
+/// The library's gate-copy loop: re-strashes the gates of \p nodes (other
+/// nodes are skipped) into \p dst in list order, recording each copy in
+/// \p map (indexed by src node id; map[0] becomes dst's constant 0).
+/// \p nodes must list every gate after its fanins, and \p map must hold
+/// the copies of the other nodes they read (PIs, shard boundary nodes).
+/// dst numbers new nodes in creation order, so the list's order decides
+/// the copy's ids.  For each gate n, \p substitute(n, map, dst) may build
+/// n's replacement in \p dst and return it, or return std::nullopt to copy
+/// n as itself; as a template parameter it is inlined into the loop.
+template <typename Substitute>
+void copy_gates(const Network& src, const std::vector<NodeId>& nodes,
+                Network& dst, std::vector<Signal>& map,
+                Substitute&& substitute) {
+  map[0] = dst.constant(false);
+  for (const NodeId n : nodes) {
+    if (!src.is_gate(n)) continue;
+    if (const std::optional<Signal> s = substitute(n, map, dst)) {
+      map[n] = *s;
+    } else {
+      map[n] = dst.create_gate(src.node(n).type, copied_fanins(src, n, map));
+    }
+  }
+}
+
+/// copy_gates() with every gate copied as itself.
+inline void copy_gates(const Network& src, const std::vector<NodeId>& nodes,
+                       Network& dst, std::vector<Signal>& map) {
+  copy_gates(src, nodes, dst, map,
+             [](NodeId, const std::vector<Signal>&,
+                Network&) -> std::optional<Signal> { return std::nullopt; });
+}
+
+/// Rebuilds \p net gate by gate into a fresh network, reserved for
+/// net.size() nodes: \p net's named PIs, copy_gates(net, order, ...,
+/// substitute), then \p net's named POs over the copies.  \p order must
+/// cover every PO's cone.  Logic that nothing reads stays; cleanup() drops it.
+template <typename Substitute>
+Network rebuild(const Network& net, const std::vector<NodeId>& order,
+                Substitute&& substitute) {
+  Network dst;
+  dst.reserve(net.size());
+  std::vector<Signal> map(net.size());
+  for (std::size_t i = 0; i < net.num_pis(); ++i) {
+    map[net.pi_at(i)] = dst.create_pi(net.pi_name(i));
+  }
+  copy_gates(net, order, dst, map, substitute);
+  for (std::size_t i = 0; i < net.num_pos(); ++i) {
+    const Signal s = net.po_at(i);
+    dst.create_po(map[s.node()] ^ s.complemented(), net.po_name(i));
+  }
+  return dst;
+}
 
 /// Options for cleanup().
 struct CleanupOptions {

@@ -43,54 +43,39 @@ void flatten_chain(const Network& net, NodeId n, GateType type,
 }  // namespace
 
 Network balance(const Network& net) {
-  Network dst;
-  std::vector<Signal> map(net.size());
-  map[0] = dst.constant(false);
-  for (std::size_t i = 0; i < net.num_pis(); ++i) {
-    map[net.pi_at(i)] = dst.create_pi(net.pi_name(i));
-  }
-
-  for (const NodeId n : topo_order(net)) {
-    if (!net.is_gate(n)) continue;
-    const Node& nd = net.node(n);
-    if (nd.type == GateType::kAnd2 || nd.type == GateType::kXor2) {
-      std::vector<Signal> operands;
-      flatten_chain(net, n, nd.type, operands);
-      // Huffman-style combination by level: always merge the two
-      // shallowest operands.
-      using Item = std::pair<std::uint32_t, Signal>;
-      auto cmp = [](const Item& a, const Item& b) {
-        if (a.first != b.first) return a.first > b.first;
-        return b.second < a.second;  // deterministic tie-break
-      };
-      std::priority_queue<Item, std::vector<Item>, decltype(cmp)> pq(cmp);
-      for (const Signal s : operands) {
-        const Signal t = map[s.node()] ^ s.complemented();
-        pq.push({dst.node(t.node()).level, t});
-      }
-      while (pq.size() > 1) {
-        const Signal a = pq.top().second;
-        pq.pop();
-        const Signal b = pq.top().second;
-        pq.pop();
-        const Signal c = nd.type == GateType::kAnd2 ? dst.create_and(a, b)
-                                                    : dst.create_xor(a, b);
-        pq.push({dst.node(c.node()).level, c});
-      }
-      map[n] = pq.top().second;
-    } else {
-      std::array<Signal, 3> in{};
-      for (int i = 0; i < nd.num_fanins; ++i) {
-        in[i] = map[nd.fanin[i].node()] ^ nd.fanin[i].complemented();
-      }
-      map[n] = dst.create_gate(nd.type, in);
-    }
-  }
-  for (std::size_t i = 0; i < net.num_pos(); ++i) {
-    const Signal s = net.po_at(i);
-    dst.create_po(map[s.node()] ^ s.complemented(), net.po_name(i));
-  }
-  return cleanup(dst);
+  return cleanup(rebuild(
+      net, topo_order(net),
+      [&](NodeId n, const std::vector<Signal>& map,
+          Network& dst) -> std::optional<Signal> {
+        const GateType type = net.node(n).type;
+        if (type != GateType::kAnd2 && type != GateType::kXor2) {
+          return std::nullopt;
+        }
+        std::vector<Signal> operands;
+        flatten_chain(net, n, type, operands);
+        // Huffman-style combination by level: always merge the two
+        // shallowest operands.
+        using Item = std::pair<std::uint32_t, Signal>;
+        auto cmp = [](const Item& a, const Item& b) {
+          if (a.first != b.first) return a.first > b.first;
+          return b.second < a.second;  // deterministic tie-break
+        };
+        std::priority_queue<Item, std::vector<Item>, decltype(cmp)> pq(cmp);
+        for (const Signal s : operands) {
+          const Signal t = map[s.node()] ^ s.complemented();
+          pq.push({dst.node(t.node()).level, t});
+        }
+        while (pq.size() > 1) {
+          const Signal a = pq.top().second;
+          pq.pop();
+          const Signal b = pq.top().second;
+          pq.pop();
+          const Signal c = type == GateType::kAnd2 ? dst.create_and(a, b)
+                                                   : dst.create_xor(a, b);
+          pq.push({dst.node(c.node()).level, c});
+        }
+        return pq.top().second;
+      }));
 }
 
 // ---------------------------------------------------------------------------
@@ -98,47 +83,26 @@ Network balance(const Network& net) {
 // ---------------------------------------------------------------------------
 
 Network refactor(const Network& net, const RefactorParams& params) {
-  Network dst;
-  std::vector<Signal> map(net.size());
-  map[0] = dst.constant(false);
-  for (std::size_t i = 0; i < net.num_pis(); ++i) {
-    map[net.pi_at(i)] = dst.create_pi(net.pi_name(i));
-  }
-
-  for (const NodeId n : topo_order(net)) {
-    if (!net.is_gate(n)) continue;
-    const Node& nd = net.node(n);
-
-    const Cone mffc = compute_mffc(net, n, params.max_leaves);
-    if (mffc.inner.size() >= 3 && !mffc.leaves.empty()) {
-      const TruthTable f = cone_function(net, Signal(n, false), mffc.leaves);
-      const auto cubes = compute_isop(f);
-      const auto ff = factor_sop(cubes, f.num_vars());
-      // Factored-form cost: internal operators ~ literals - 1.
-      const int est_new = std::max(0, ff.num_literals() - 1);
-      const int est_old = static_cast<int>(mffc.inner.size());
-      if (est_new < est_old || (params.zero_cost && est_new == est_old)) {
-        std::vector<Signal> leaves;
-        leaves.reserve(mffc.leaves.size());
-        for (const NodeId leaf : mffc.leaves) {
-          leaves.push_back(map[leaf]);
+  const Network result = cleanup(rebuild(
+      net, topo_order(net),
+      [&](NodeId n, const std::vector<Signal>& map,
+          Network& dst) -> std::optional<Signal> {
+        const Cone mffc = compute_mffc(net, n, params.max_leaves);
+        if (mffc.inner.size() < 3 || mffc.leaves.empty()) return std::nullopt;
+        const TruthTable f = cone_function(net, Signal(n, false), mffc.leaves);
+        const auto cubes = compute_isop(f);
+        const auto ff = factor_sop(cubes, f.num_vars());
+        // Factored-form cost: internal operators ~ literals - 1.
+        const int est_new = std::max(0, ff.num_literals() - 1);
+        const int est_old = static_cast<int>(mffc.inner.size());
+        if (est_new < est_old || (params.zero_cost && est_new == est_old)) {
+          std::vector<Signal> leaves;
+          leaves.reserve(mffc.leaves.size());
+          for (const NodeId leaf : mffc.leaves) leaves.push_back(map[leaf]);
+          return build_factored(BasisBuilder(dst, params.basis), ff, leaves);
         }
-        map[n] = build_factored(BasisBuilder(dst, params.basis), ff, leaves);
-        continue;
-      }
-    }
-
-    std::array<Signal, 3> in{};
-    for (int i = 0; i < nd.num_fanins; ++i) {
-      in[i] = map[nd.fanin[i].node()] ^ nd.fanin[i].complemented();
-    }
-    map[n] = dst.create_gate(nd.type, in);
-  }
-  for (std::size_t i = 0; i < net.num_pos(); ++i) {
-    const Signal s = net.po_at(i);
-    dst.create_po(map[s.node()] ^ s.complemented(), net.po_name(i));
-  }
-  const Network result = cleanup(dst);
+        return std::nullopt;
+      }));
   // Refactoring is greedy; keep the smaller of input/output.
   return result.num_gates() <= net.num_gates() ? result : cleanup(net);
 }
@@ -148,6 +112,10 @@ Network refactor(const Network& net, const RefactorParams& params) {
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// SAT budget per resubstitution check, as Solver::solve counts it:
+/// conflicts since the last restart, so 300 allows up to 1,836.
+constexpr std::int64_t kResubConflictLimit = 300;
 
 /// Divisor window: nearby TFI nodes of \p n (breadth-first), all with
 /// smaller ids than n so replacements can never create cycles.
@@ -203,12 +171,14 @@ Network resub(const Network& net, const ResubParams& params) {
   auto words_of = [&](NodeId d) { return sim.node_values(d); };
 
   std::size_t budget = 1u << 22;  // overall pair budget
-  for (const NodeId n : topo_order(net)) {
+  const std::vector<NodeId> order = topo_order(net);
+  for (const NodeId n : order) {
     if (!net.is_gate(n)) continue;
     // Only profitable when the node's MFFC has at least 2 gates.
     const Cone mffc = compute_mffc(net, n, 16);
     if (mffc.inner.size() < 2) continue;
 
+    const Node& nd = net.node(n);
     const auto window = divisor_window(net, n, params.max_window);
     const std::uint64_t* wn = words_of(n);
     bool done = false;
@@ -232,11 +202,21 @@ Network resub(const Network& net, const ResubParams& params) {
           }
           if (!eq && !eq_compl) continue;
           const bool phase = !eq;
-          // SAT proof: n ^ phase == op(a, b) everywhere.
           const Signal a(window[i], op.ca);
           const Signal b(window[j], op.cb);
+          // The window opens with n's fanins, so a 2-input node reaches its
+          // own gate here: a tautology whose proof would install the gate
+          // the plain copy builds anyway, so the search stops unproven.
+          // Earlier ops on the pair still replace n when its fanins are
+          // equal, complementary or constant.
+          if (!phase && op.type == nd.type && a == nd.fanin[0] &&
+              b == nd.fanin[1]) {
+            done = true;
+            break;
+          }
+          // SAT proof: n ^ phase == op(a, b) everywhere.
           if (miter.prove_gate(Signal(n, phase), op.type, a, b,
-                               params.conflict_limit) == sat::Result::kUnsat) {
+                               kResubConflictLimit) == sat::Result::kUnsat) {
             repl[n] = Replacement{op.type, a, b, phase};
             done = true;
             break;
@@ -246,36 +226,18 @@ Network resub(const Network& net, const ResubParams& params) {
     }
   }
 
-  // Rebuild with replacements applied.
-  Network dst;
-  std::vector<Signal> map(net.size());
-  map[0] = dst.constant(false);
-  for (std::size_t i = 0; i < net.num_pis(); ++i) {
-    map[net.pi_at(i)] = dst.create_pi(net.pi_name(i));
-  }
-  for (const NodeId n : topo_order(net)) {
-    if (!net.is_gate(n)) continue;
-    if (repl[n]) {
-      const Replacement& r = *repl[n];
-      const Signal a = map[r.a.node()] ^ r.a.complemented();
-      const Signal b = map[r.b.node()] ^ r.b.complemented();
-      const Signal g = r.type == GateType::kAnd2 ? dst.create_and(a, b)
-                                                 : dst.create_xor(a, b);
-      map[n] = g ^ r.out_compl;
-      continue;
-    }
-    const Node& nd = net.node(n);
-    std::array<Signal, 3> in{};
-    for (int i = 0; i < nd.num_fanins; ++i) {
-      in[i] = map[nd.fanin[i].node()] ^ nd.fanin[i].complemented();
-    }
-    map[n] = dst.create_gate(nd.type, in);
-  }
-  for (std::size_t i = 0; i < net.num_pos(); ++i) {
-    const Signal s = net.po_at(i);
-    dst.create_po(map[s.node()] ^ s.complemented(), net.po_name(i));
-  }
-  const Network result = cleanup(dst);
+  const Network result = cleanup(rebuild(
+      net, order,
+      [&](NodeId n, const std::vector<Signal>& map,
+          Network& dst) -> std::optional<Signal> {
+        if (!repl[n]) return std::nullopt;
+        const Replacement& r = *repl[n];
+        const Signal a = map[r.a.node()] ^ r.a.complemented();
+        const Signal b = map[r.b.node()] ^ r.b.complemented();
+        const Signal g = r.type == GateType::kAnd2 ? dst.create_and(a, b)
+                                                   : dst.create_xor(a, b);
+        return g ^ r.out_compl;
+      }));
   return result.num_gates() <= net.num_gates() ? result : cleanup(net);
 }
 
@@ -312,60 +274,47 @@ int cut_cone_savings(const Network& net, NodeId n, const Cut& cut) {
 }  // namespace
 
 Network rewrite(const Network& net, const RewriteParams& params) {
-  Network dst;
   auto& db = NpnDatabase::shared(params.basis, NpnDatabase::Objective::kArea);
+  const std::vector<NodeId> order = topo_order(net);
+  CutEnumerator cuts(net, {.cut_size = params.cut_size});
+  cuts.run(order);
 
-  CutEnumerator cuts(net, {.cut_size = params.cut_size, .cut_limit = 8});
-  cuts.run(topo_order(net));
+  const Network result = cleanup(rebuild(
+      net, order,
+      [&](NodeId n, const std::vector<Signal>& map,
+          Network& dst) -> std::optional<Signal> {
+        // Plain rebuild first (cheap, benefits from strashing).
+        const std::size_t before_plain = dst.num_gates();
+        const Signal plain =
+            dst.create_gate(net.node(n).type, copied_fanins(net, n, map));
+        const int plain_added =
+            static_cast<int>(dst.num_gates() - before_plain);
 
-  std::vector<Signal> map(net.size());
-  map[0] = dst.constant(false);
-  for (std::size_t i = 0; i < net.num_pis(); ++i) {
-    map[net.pi_at(i)] = dst.create_pi(net.pi_name(i));
-  }
-
-  for (const NodeId n : topo_order(net)) {
-    if (!net.is_gate(n)) continue;
-    const Node& nd = net.node(n);
-
-    // Plain rebuild first (cheap, benefits from strashing).
-    std::array<Signal, 3> in{};
-    for (int i = 0; i < nd.num_fanins; ++i) {
-      in[i] = map[nd.fanin[i].node()] ^ nd.fanin[i].complemented();
-    }
-    const std::size_t before_plain = dst.num_gates();
-    const Signal plain = dst.create_gate(nd.type, in);
-    const int plain_added =
-        static_cast<int>(dst.num_gates() - before_plain);
-
-    Signal best = plain;
-    int best_gain = 0;
-    for (const Cut& cut : cuts.cuts(n)) {
-      if (cut.is_trivial() || cut.size < 2) continue;
-      const int saved = cut_cone_savings(net, n, cut);
-      std::vector<Signal> leaves;
-      leaves.reserve(cut.size);
-      for (int i = 0; i < cut.size; ++i) leaves.push_back(map[cut.leaves[i]]);
-      const std::size_t before = dst.num_gates();
-      const auto cand =
-          db.instantiate(dst, cut.function, cut.size, leaves);
-      if (!cand) continue;
-      const int added = static_cast<int>(dst.num_gates() - before);
-      // Gain relative to the plain rebuild of the same cone.
-      const int gain = (saved + plain_added - 1) - added;
-      if (gain > best_gain ||
-          (params.zero_cost && gain == best_gain && cand->node() != best.node())) {
-        best = *cand;
-        best_gain = gain;
-      }
-    }
-    map[n] = best;
-  }
-  for (std::size_t i = 0; i < net.num_pos(); ++i) {
-    const Signal s = net.po_at(i);
-    dst.create_po(map[s.node()] ^ s.complemented(), net.po_name(i));
-  }
-  const Network result = cleanup(dst);
+        Signal best = plain;
+        int best_gain = 0;
+        for (const Cut& cut : cuts.cuts(n)) {
+          if (cut.is_trivial() || cut.size < 2) continue;
+          const int saved = cut_cone_savings(net, n, cut);
+          std::vector<Signal> leaves;
+          leaves.reserve(cut.size);
+          for (int i = 0; i < cut.size; ++i) {
+            leaves.push_back(map[cut.leaves[i]]);
+          }
+          const std::size_t before = dst.num_gates();
+          const auto cand =
+              db.instantiate(dst, cut.function, cut.size, leaves);
+          if (!cand) continue;
+          const int added = static_cast<int>(dst.num_gates() - before);
+          // Gain relative to the plain rebuild of the same cone.
+          const int gain = (saved + plain_added - 1) - added;
+          if (gain > best_gain || (params.zero_cost && gain == best_gain &&
+                                   cand->node() != best.node())) {
+            best = *cand;
+            best_gain = gain;
+          }
+        }
+        return best;
+      }));
   return result.num_gates() <= net.num_gates() ? result : cleanup(net);
 }
 

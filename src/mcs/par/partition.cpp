@@ -12,33 +12,16 @@ namespace {
 
 constexpr std::uint32_t kNoBand = 0xffffffffu;
 
-/// Re-strashes the gates of \p nodes (ascending-id, in-shard fanins always
-/// listed before their fanouts) into \p dst, recording which source nodes
-/// were copied.  \p map must already cover the constant and every external
-/// reference (PIs / boundary nodes).
-void copy_gates(const Network& src, const std::vector<NodeId>& nodes,
-                Network& dst, std::vector<Signal>& map,
-                std::vector<bool>& copied) {
-  for (const NodeId n : nodes) {
-    if (!src.is_gate(n)) continue;
-    const Node& nd = src.node(n);
-    std::array<Signal, 3> fi{};
-    for (int i = 0; i < nd.num_fanins; ++i) {
-      fi[i] = map[nd.fanin[i].node()] ^ nd.fanin[i].complemented();
-    }
-    map[n] = dst.create_gate(nd.type, fi);
-    copied[n] = true;
-  }
-}
-
-/// Transfers the choice classes among the copied nodes into \p dst, with
-/// the same guards as cleanup(): re-strashing may merge a member with its
-/// representative or with a node already classed, and a member may not
-/// have been copied at all (windows drop the rare member whose cone
-/// escapes its band); in those cases the link is dropped.
+/// Transfers the choice classes among the gates of \p nodes, which
+/// copy_gates() copied into \p dst through \p map, with the same guards
+/// as cleanup(): re-strashing may merge a member with its representative
+/// or with a node already classed, and a member may not be among those
+/// gates at all (windows drop the rare member whose cone escapes its
+/// band); in those cases the link is dropped.
 void copy_choices(const Network& src, const std::vector<NodeId>& nodes,
-                  Network& dst, const std::vector<Signal>& map,
-                  const std::vector<bool>& copied) {
+                  Network& dst, const std::vector<Signal>& map) {
+  std::vector<bool> copied(src.size(), false);
+  for (const NodeId n : nodes) copied[n] = src.is_gate(n);
   for (const NodeId n : nodes) {
     if (!copied[n] || !src.is_repr(n)) continue;
     if (src.node(n).next_choice == kNullNode) continue;
@@ -93,17 +76,15 @@ Partition build_shard(const Network& net, const std::vector<NodeId>& gates,
   }
 
   std::vector<Signal> map(net.size());
-  std::vector<bool> copied(net.size(), false);
   part.net.reserve(1 + ext.size() + gates.size());
-  map[0] = part.net.constant(false);
   for (const NodeId f : ext) {
     map[f] = part.net.create_pi(net.is_pi(f) ? net.pi_name(pi_ordinal[f])
                                              : std::string{});
     part.inputs.push_back(f);
   }
 
-  copy_gates(net, gates, part.net, map, copied);
-  if (keep_choices) copy_choices(net, gates, part.net, map, copied);
+  copy_gates(net, gates, part.net, map);
+  if (keep_choices) copy_choices(net, gates, part.net, map);
 
   for (const NodeId n : gates) {
     if (!exported[n]) continue;
@@ -307,16 +288,14 @@ Network reassemble(const Network& source, const PartitionSet& parts,
            "pass changed a shard's PO interface");
 
     std::vector<Signal> smap(sn.size());
-    std::vector<bool> copied(sn.size(), false);
-    smap[0] = dst.constant(false);
     for (std::size_t j = 0; j < sn.num_pis(); ++j) {
       assert(have[part.inputs[j]] && "shard consumes an unresolved boundary");
       smap[sn.pi_at(j)] = map[part.inputs[j]];
     }
 
     const std::vector<NodeId>& nodes = shard_nodes[i];
-    copy_gates(sn, nodes, dst, smap, copied);
-    if (opts.keep_choices) copy_choices(sn, nodes, dst, smap, copied);
+    copy_gates(sn, nodes, dst, smap);
+    if (opts.keep_choices) copy_choices(sn, nodes, dst, smap);
 
     for (std::size_t j = 0; j < sn.num_pos(); ++j) {
       const Signal s = sn.po_at(j);

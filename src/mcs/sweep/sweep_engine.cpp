@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -323,31 +325,15 @@ Network fraig(const Network& net, const FraigParams& params,
   // members -- a DFS post-order from the POs guarantees neither for
   // representatives living in a different PO cone.  Dangling nodes rebuilt
   // along the way are dropped by the cleanup below.
-  Network dst;
-  dst.reserve(net.size());
-  std::vector<Signal> map(net.size());
-  map[0] = dst.constant(false);
-  for (std::size_t i = 0; i < net.num_pis(); ++i) {
-    map[net.pi_at(i)] = dst.create_pi(net.pi_name(i));
-  }
-  for (NodeId n = 1; n < net.size(); ++n) {
-    if (!net.is_gate(n)) continue;
-    if (merge[n].first != kNullNode) {
-      map[n] = map[merge[n].first] ^ merge[n].second;
-      continue;
-    }
-    const Node& nd = net.node(n);
-    std::array<Signal, 3> in{};
-    for (int i = 0; i < nd.num_fanins; ++i) {
-      in[i] = map[nd.fanin[i].node()] ^ nd.fanin[i].complemented();
-    }
-    map[n] = dst.create_gate(nd.type, in);
-  }
-  for (std::size_t i = 0; i < net.num_pos(); ++i) {
-    const Signal s = net.po_at(i);
-    dst.create_po(map[s.node()] ^ s.complemented(), net.po_name(i));
-  }
-  Network result = cleanup(dst);
+  std::vector<NodeId> ascending(net.size());
+  std::iota(ascending.begin(), ascending.end(), NodeId{0});
+  Network result = cleanup(rebuild(
+      net, ascending,
+      [&](NodeId n, const std::vector<Signal>& map,
+          Network&) -> std::optional<Signal> {
+        if (merge[n].first == kNullNode) return std::nullopt;
+        return map[merge[n].first] ^ merge[n].second;
+      }));
   stats.final_gates = result.num_gates();
   if (stats_out) *stats_out = stats;
   return result;

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <tuple>
 
@@ -392,6 +393,122 @@ TEST(NetworkUtils, CopyConeSubstitutesLeaves) {
   for (int m = 0; m < 4; ++m) {
     const bool vx = m & 1, vy = m & 2;
     EXPECT_EQ(pos[0].get_bit(m), vy != (vy && vx));
+  }
+}
+
+/// No-substitution hook for rebuild().
+std::optional<Signal> copy_as_is(NodeId, const std::vector<Signal>&,
+                                 Network&) {
+  return std::nullopt;
+}
+
+TEST(NetworkUtils, RebuildThenCleanupEqualsCleanup) {
+  // Named PIs, random gates of every type, named POs over recent gates:
+  // the early gates that no PO reads dangle.
+  Network net;
+  Rng rng(17);
+  std::vector<Signal> pool;
+  for (int i = 0; i < 6; ++i) {
+    pool.push_back(net.create_pi("in" + std::to_string(i)));
+  }
+  const GateType types[] = {GateType::kAnd2, GateType::kXor2, GateType::kMaj3,
+                            GateType::kXor3};
+  auto pick = [&] {
+    return pool[rng.next_below(pool.size())] ^ rng.next_bool();
+  };
+  for (int i = 0; i < 60; ++i) {
+    const Signal s = net.create_gate(types[rng.next_below(4)],
+                                     {pick(), pick(), pick()});
+    if (net.is_gate(s.node())) pool.push_back(s);
+  }
+  for (int i = 0; i < 3; ++i) {
+    net.create_po(pool[pool.size() - 1 - 2 * i] ^ (i == 1),
+                  "out" + std::to_string(i));
+  }
+  const Network expected = cleanup(net);
+  ASSERT_LT(expected.num_gates(), net.num_gates()) << "no dangling logic";
+
+  // Ascending ids list every node, the dangling ones included.
+  std::vector<NodeId> ascending(net.size());
+  for (NodeId n = 0; n < net.size(); ++n) ascending[n] = n;
+  const Network copy = rebuild(net, ascending, copy_as_is);
+  EXPECT_EQ(copy.num_gates(), net.num_gates());
+  EXPECT_TRUE(structurally_identical(cleanup(copy), expected));
+  for (std::size_t i = 0; i < net.num_pis(); ++i) {
+    EXPECT_EQ(copy.pi_name(i), net.pi_name(i));
+  }
+  for (std::size_t i = 0; i < net.num_pos(); ++i) {
+    EXPECT_EQ(copy.po_name(i), net.po_name(i));
+  }
+}
+
+TEST(NetworkUtils, RebuildHookChangesExactlyThePosReadingTheGate) {
+  Network net;
+  const Signal a = net.create_pi();
+  const Signal b = net.create_pi();
+  const Signal c = net.create_pi();
+  const Signal d = net.create_pi();
+  const Signal g = net.create_and(a, b);
+  net.create_po(g);                         // reads g
+  net.create_po(net.create_and(!g, c));     // reads g through a gate
+  net.create_po(net.create_xor(c, d));      // does not read g
+  net.create_po(net.create_maj(a, b, !d));  // nor does this
+  const Network out = rebuild(
+      net, topo_order(net),
+      [&](NodeId n, const std::vector<Signal>& map,
+          Network& dst) -> std::optional<Signal> {
+        if (n != g.node()) return std::nullopt;
+        return dst.create_xor(map[a.node()], map[b.node()]);
+      });
+  const auto before = simulate_pos(net);
+  const auto after = simulate_pos(out);
+  ASSERT_EQ(after.size(), before.size());
+  EXPECT_NE(after[0], before[0]);
+  EXPECT_NE(after[1], before[1]);
+  EXPECT_EQ(after[2], before[2]);
+  EXPECT_EQ(after[3], before[3]);
+  for (int m = 0; m < 16; ++m) {
+    EXPECT_EQ(after[0].get_bit(m), ((m & 1) != 0) != ((m & 2) != 0));
+  }
+}
+
+TEST(NetworkUtils, CopyGatesIntoExistingNetworkOverGivenPis) {
+  // As CEC builds its miter: the destination already has its PIs and some
+  // logic, and the source's PIs map onto those PIs.
+  const Network src =
+      testing::random_network({.num_pis = 5, .num_gates = 50, .seed = 7});
+  Network dst;
+  std::vector<Signal> pis;
+  for (std::size_t i = 0; i < src.num_pis(); ++i) {
+    pis.push_back(dst.create_pi());
+  }
+  dst.create_po(dst.create_and(pis[0], !pis[1]));
+
+  std::vector<NodeId> roots;
+  for (const Signal s : src.pos()) roots.push_back(s.node());
+  std::vector<char> seen;
+  const std::vector<NodeId> cone = collect_cone_nodes(src, roots, false, seen);
+  for (int copy = 0; copy < 2; ++copy) {
+    std::vector<Signal> map(src.size());
+    for (std::size_t i = 0; i < src.num_pis(); ++i) {
+      map[src.pi_at(i)] = pis[i];
+    }
+    const std::size_t gates_before = dst.num_gates();
+    copy_gates(src, cone, dst, map);
+    // The second copy finds every gate of the first through strash.
+    if (copy == 1) {
+      EXPECT_EQ(dst.num_gates(), gates_before);
+    }
+    for (const Signal s : src.pos()) {
+      dst.create_po(map[s.node()] ^ s.complemented());
+    }
+  }
+  const auto want = simulate_pos(src);
+  const auto got = simulate_pos(dst);
+  ASSERT_EQ(got.size(), 1 + 2 * want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[1 + i], want[i]);
+    EXPECT_EQ(got[1 + want.size() + i], want[i]);
   }
 }
 

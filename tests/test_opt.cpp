@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include "mcs/circuits/circuits.hpp"
+#include "mcs/fail/fail.hpp"
 #include "mcs/map/graph_mapper.hpp"
+#include "mcs/network/convert.hpp"
 #include "mcs/network/network_utils.hpp"
 #include "mcs/opt/optimize.hpp"
 #include "mcs/sat/cec.hpp"
@@ -148,6 +151,20 @@ TEST(Resub, KeepsNodeWhenSatRefutesSimulatedMatch) {
   EXPECT_EQ(rs.num_gates(), net.num_gates());
   EXPECT_EQ(rs.node(rs.po_at(0).node()).type, GateType::kMaj3);
   EXPECT_EQ(check_equivalence(net, rs), CecResult::kEquivalent);
+}
+
+TEST(Resub, NeverProvesANodeAgainstItsOwnGate) {
+  // On the fraiged adder, no candidate matches simulation before a node's
+  // own gate over its own fanins, which resub accepts without a proof: it
+  // makes no SAT call and changes nothing.  A zero-length delay at the
+  // solver's fault point counts the calls.
+  const Network net = fraig(expand_to_aig(circuits::adder(8)));
+  fail::configure("sat.solve=delay,ms=0");
+  const Network rs = resub(net);
+  const std::uint64_t solves = fail::injected_total();
+  fail::disable();
+  EXPECT_EQ(solves, 0u);
+  EXPECT_TRUE(structurally_identical(rs, cleanup(net)));
 }
 
 TEST(Resub, PreservesFunctionOnSuiteCircuit) {
