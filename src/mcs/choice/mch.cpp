@@ -81,8 +81,9 @@ Network build_mch(const Network& input, const MchParams& params,
   // Line 1 of Algorithm 1: one-to-one mapping into the (mixed) network that
   // will host heterogeneous candidates.  cleanup() gives a compact verbatim
   // copy whose node array is topologically ordered.  Pre-existing choice
-  // classes (e.g. from a DCH pass) are preserved: MCH subsumes traditional
-  // structural choices and stacks heterogeneous candidates on top.
+  // classes (e.g. from a DCH pass) whose heads choice_topo_order() reaches
+  // are preserved: MCH subsumes traditional structural choices and stacks
+  // heterogeneous candidates on top.
   Network net = cleanup(input, {.keep_choices = true});
   const NodeId original_size = static_cast<NodeId>(net.size());
   ChoiceGuard guard(net);

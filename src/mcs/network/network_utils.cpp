@@ -107,8 +107,13 @@ std::vector<NodeId> collect_cone_nodes(const Network& net,
 }
 
 std::vector<NodeId> topo_order(const Network& net) {
+  return topo_order(net, net.pos());
+}
+
+std::vector<NodeId> topo_order(const Network& net,
+                               const std::vector<Signal>& roots) {
   TopoVisitor v(net, /*follow_choices=*/false);
-  for (const auto s : net.pos()) v.visit(s.node());
+  for (const Signal s : roots) v.visit(s.node());
   return v.take();
 }
 
@@ -309,114 +314,55 @@ TruthTable cone_function(const Network& net, Signal root,
   return result;
 }
 
-namespace {
-
-/// Rebuilds the cone of `old_sig` in `dst`, memoized through `map`
-/// (old node -> new signal for the non-complemented function).
-Signal rebuild_cone(const Network& src, Network& dst, NodeId old_node,
-                    std::vector<Signal>& map, std::vector<bool>& mapped) {
-  if (mapped[old_node]) return map[old_node];
-  struct Frame {
-    NodeId n;
-    int state;
-  };
-  std::vector<Frame> stack{{old_node, 0}};
-  while (!stack.empty()) {
-    auto& [n, state] = stack.back();
-    if (mapped[n]) {
-      stack.pop_back();
-      continue;
-    }
-    const Node& nd = src.node(n);
-    if (state < nd.num_fanins) {
-      const NodeId child = nd.fanin[state].node();
-      ++state;
-      if (!mapped[child]) stack.push_back({child, 0});
-      continue;
-    }
-    map[n] = dst.create_gate(nd.type, copied_fanins(src, n, map));
-    mapped[n] = true;
-    stack.pop_back();
-  }
-  return map[old_node];
-}
-
-/// Seeds rebuild_cone's memo with src's constant and PIs (pi_map).
-void seed_cone_map(const Network& src, Network& dst,
-                   const std::vector<Signal>& pi_map, std::vector<Signal>& map,
-                   std::vector<bool>& mapped) {
-  assert(pi_map.size() == src.num_pis());
-  map.assign(src.size(), Signal());
-  mapped.assign(src.size(), false);
-  map[0] = dst.constant(false);
-  mapped[0] = true;
-  for (std::size_t i = 0; i < src.num_pis(); ++i) {
-    map[src.pi_at(i)] = pi_map[i];
-    mapped[src.pi_at(i)] = true;
-  }
-}
-
-}  // namespace
-
-Signal copy_cone(const Network& src, Network& dst, Signal root,
-                 const std::vector<Signal>& pi_map) {
-  std::vector<Signal> map;
-  std::vector<bool> mapped;
-  seed_cone_map(src, dst, pi_map, map, mapped);
-  return rebuild_cone(src, dst, root.node(), map, mapped) ^
-         root.complemented();
-}
-
 std::vector<Signal> copy_cones(const Network& src, Network& dst,
                                const std::vector<Signal>& roots,
                                const std::vector<Signal>& pi_map) {
-  std::vector<Signal> map;
-  std::vector<bool> mapped;
-  seed_cone_map(src, dst, pi_map, map, mapped);
+  assert(pi_map.size() == src.num_pis());
+  std::vector<Signal> map(src.size());
+  for (std::size_t i = 0; i < src.num_pis(); ++i) map[src.pi_at(i)] = pi_map[i];
+  copy_gates(src, topo_order(src, roots), dst, map);
   std::vector<Signal> out;
   out.reserve(roots.size());
-  for (const Signal root : roots) {
-    out.push_back(rebuild_cone(src, dst, root.node(), map, mapped) ^
-                  root.complemented());
-  }
+  for (const Signal r : roots) out.push_back(map[r.node()] ^ r.complemented());
   return out;
 }
 
-Network cleanup(const Network& net, const CleanupOptions& opts) {
-  Network dst;
-  dst.reserve(net.size());
-  std::vector<Signal> map(net.size(), Signal());
-  std::vector<bool> mapped(net.size(), false);
-  map[0] = dst.constant(false);
-  mapped[0] = true;
-  for (std::size_t i = 0; i < net.num_pis(); ++i) {
-    const NodeId pi = net.pi_at(i);
-    map[pi] = dst.create_pi(net.pi_name(i));
-    mapped[pi] = true;
-  }
-  for (std::size_t i = 0; i < net.num_pos(); ++i) {
-    const Signal s = net.po_at(i);
-    const Signal t =
-        rebuild_cone(net, dst, s.node(), map, mapped) ^ s.complemented();
-    dst.create_po(t, net.po_name(i));
-  }
-  if (opts.keep_choices) {
-    for (NodeId n = 0; n < net.size(); ++n) {
-      if (!net.is_repr(n) || !mapped[n]) continue;
-      for (NodeId m = net.node(n).next_choice; m != kNullNode;
-           m = net.node(m).next_choice) {
-        const Signal ms = rebuild_cone(net, dst, m, map, mapped);
-        const NodeId new_repr = map[n].node();
-        const NodeId new_member = ms.node();
-        if (new_repr == new_member) continue;  // re-strashing merged them
-        if (!dst.is_repr(new_member) || !dst.is_repr(new_repr)) continue;
-        if (dst.node(new_member).next_choice != kNullNode) continue;
-        const bool phase = net.node(m).choice_phase ^ map[n].complemented() ^
-                           ms.complemented();
-        dst.add_choice(new_repr, new_member, phase);
-      }
+void copy_choices(const Network& src, const std::vector<NodeId>& nodes,
+                  Network& dst, const std::vector<Signal>& map) {
+  std::vector<bool> copied(src.size(), false);
+  for (const NodeId n : nodes) copied[n] = src.is_gate(n);
+  for (const NodeId n : nodes) {
+    if (!copied[n] || !src.is_repr(n)) continue;
+    for (NodeId m = src.node(n).next_choice; m != kNullNode;
+         m = src.node(m).next_choice) {
+      if (!copied[m]) continue;
+      const NodeId new_repr = map[n].node();
+      const NodeId new_member = map[m].node();
+      if (new_member == new_repr) continue;  // re-strashing merged them
+      if (!dst.is_repr(new_member) || !dst.is_repr(new_repr)) continue;
+      if (dst.node(new_member).next_choice != kNullNode) continue;
+      const bool phase = src.node(m).choice_phase ^ map[n].complemented() ^
+                         map[m].complemented();
+      dst.add_choice(new_repr, new_member, phase);
     }
   }
+}
+
+Network cleanup(const Network& net, const CleanupOptions& opts) {
+  const std::vector<NodeId> order =
+      opts.keep_choices ? choice_topo_order(net) : topo_order(net);
+  Network dst;
+  dst.reserve(net.size());
+  std::vector<Signal> map(net.size());
+  for (std::size_t i = 0; i < net.num_pis(); ++i) {
+    map[net.pi_at(i)] = dst.create_pi(net.pi_name(i));
+  }
+  copy_gates(net, order, dst, map);
+  for (std::size_t i = 0; i < net.num_pos(); ++i) {
+    const Signal s = net.po_at(i);
+    dst.create_po(map[s.node()] ^ s.complemented(), net.po_name(i));
+  }
+  if (opts.keep_choices) copy_choices(net, order, dst, map);
   return dst;
 }
 

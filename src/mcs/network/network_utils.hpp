@@ -16,6 +16,12 @@ namespace mcs {
 /// only (choice members not reachable this way are excluded).
 std::vector<NodeId> topo_order(const Network& net);
 
+/// topo_order() of the cones of \p roots: the depth-first post-order that
+/// visits the roots in list order and each node's fanins in slot order.
+/// Uses the network's shared traversal marks.
+std::vector<NodeId> topo_order(const Network& net,
+                               const std::vector<Signal>& roots);
+
 /// Choice-aware topological order covering every node reachable from the POs
 /// through fanins *or* choice lists.  Guarantees:
 ///   - fanins precede their fanouts,
@@ -123,19 +129,22 @@ Cone compute_mffc(const Network& net, NodeId root, int max_leaves);
 TruthTable cone_function(const Network& net, Signal root,
                          const std::vector<NodeId>& leaves);
 
-/// Copies the cone of \p root from \p src into \p dst, substituting the i-th
-/// PI of \p src with \p pi_map[i].  Returns the signal implementing root's
-/// function in \p dst.  Gates are re-strashed on the way.
-Signal copy_cone(const Network& src, Network& dst, Signal root,
-                 const std::vector<Signal>& pi_map);
-
-/// copy_cone() for several roots in one walk: logic shared between the
-/// cones is copied once.  The result, and \p dst, equal those of one
-/// copy_cone() call per root in order (such a call re-finds the logic
-/// earlier roots created through strash and creates nothing new there).
+/// Copies the cones of \p roots from \p src into \p dst, substituting the
+/// i-th PI of \p src with \p pi_map[i], and returns the copies of the roots.
+/// One copy_gates() run over topo_order(src, roots): logic shared between
+/// the cones is copied once, and the result, and \p dst, equal those of
+/// one copy per root in order (such a copy re-finds the logic earlier roots
+/// created through strash and creates nothing new there).  Uses \p src's
+/// traversal marks, so no two threads may copy from one \p src at once.
 std::vector<Signal> copy_cones(const Network& src, Network& dst,
                                const std::vector<Signal>& roots,
                                const std::vector<Signal>& pi_map);
+
+/// copy_cones() of the one root \p root.
+inline Signal copy_cone(const Network& src, Network& dst, Signal root,
+                        const std::vector<Signal>& pi_map) {
+  return copy_cones(src, dst, {root}, pi_map)[0];
+}
 
 /// The fanins of gate \p n of \p src as copied into another network: the
 /// copy \p map holds for each fanin node, with the edge's complement
@@ -182,6 +191,15 @@ inline void copy_gates(const Network& src, const std::vector<NodeId>& nodes,
                 Network&) -> std::optional<Signal> { return std::nullopt; });
 }
 
+/// The library's choice-class transfer: after copy_gates(src, nodes, dst,
+/// map), links each copied member to its copied head, visiting heads in
+/// list order.  A node counts as copied when it is a gate of \p nodes.  A
+/// link is dropped when its member was not copied, when re-strashing
+/// merged member and head, when either copy is already a class member, or
+/// when the member's copy already heads a class.
+void copy_choices(const Network& src, const std::vector<NodeId>& nodes,
+                  Network& dst, const std::vector<Signal>& map);
+
 /// Rebuilds \p net gate by gate into a fresh network, reserved for
 /// net.size() nodes: \p net's named PIs, copy_gates(net, order, ...,
 /// substitute), then \p net's named POs over the copies.  \p order must
@@ -208,9 +226,12 @@ struct CleanupOptions {
   bool keep_choices = false;  ///< preserve choice classes in the copy
 };
 
-/// Returns a compacted copy of \p net: only nodes reachable from the POs
-/// (plus, with keep_choices, their choice cones) survive; nodes are
-/// re-strashed, which can merge structurally duplicate logic.
+/// Returns a compacted copy of \p net: \p net's named PIs, copy_gates()
+/// over topo_order(net), then the named POs.  Only nodes reachable from the
+/// POs survive; nodes are re-strashed, which can merge structurally
+/// duplicate logic.  With keep_choices the copy runs over
+/// choice_topo_order(net) instead, and copy_choices() carries the classes
+/// whose heads that order reaches.
 Network cleanup(const Network& net, const CleanupOptions& opts = {});
 
 /// Recomputes node levels assuming unit gate delays; returns network depth.

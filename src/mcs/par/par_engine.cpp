@@ -31,8 +31,7 @@ std::vector<std::uint32_t> largest_first_order(const PartitionSet& parts) {
 }  // namespace
 
 Network par_run(const Network& net, const ShardPassFn& pass,
-                const ParParams& params, ParStats* stats,
-                const ReassembleOptions& reassemble_opts) {
+                const ParParams& params, ParStats* stats) {
   const std::size_t threads = ThreadPool::resolve_threads(params.num_threads);
   PartitionSet parts = [&] {
     obs::Span span("par:partition");
@@ -61,10 +60,8 @@ Network par_run(const Network& net, const ShardPassFn& pass,
       },
       threads, order.data());
 
-  ReassembleOptions ropts = reassemble_opts;
-  ropts.num_threads = static_cast<int>(threads);
   obs::Span span("par:reassemble");
-  return reassemble(net, parts, ropts);
+  return reassemble(net, parts, {.num_threads = static_cast<int>(threads)});
 }
 
 }  // namespace mcs

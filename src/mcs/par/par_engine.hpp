@@ -39,8 +39,9 @@ using ShardPassFn = std::function<Network(const Network&)>;
 /// applies \p pass to every shard on up to params.num_threads workers, and
 /// reassembles in fixed partition order.  Exceptions thrown by \p pass
 /// surface in shard-index order.  Bit-identical for any thread count.
+/// The result carries whatever choice classes the rewritten shards hold
+/// (see reassemble()).
 Network par_run(const Network& net, const ShardPassFn& pass,
-                const ParParams& params = {}, ParStats* stats = nullptr,
-                const ReassembleOptions& reassemble_opts = {});
+                const ParParams& params = {}, ParStats* stats = nullptr);
 
 }  // namespace mcs

@@ -60,13 +60,9 @@ void register_par_passes(PassRegistry& registry) {
             const PassArgs inner_args =
                 PassArgs::bind(inner, forwarded_tokens(args));
             ParParams par = ctx.par;
-            ReassembleOptions ropts;
-            if (inner.kind == PassKind::kChoice) {
-              // Choice constructions must see existing classes and keep
-              // the ones they add through reassembly.
-              par.partition.keep_choices = true;
-              ropts.keep_choices = true;
-            }
+            // Choice constructions must see existing classes; reassembly
+            // keeps those and the ones they add.
+            par.partition.keep_choices = inner.kind == PassKind::kChoice;
             ParStats ps;
             // The inner pass on one shard, in a context of its own.
             ctx.net = par_run(
@@ -79,7 +75,7 @@ void register_par_passes(PassRegistry& registry) {
                   inner.run(sub, inner_args);
                   return std::move(sub.net);
                 },
-                par, &ps, ropts);
+                par, &ps);
             ctx.note = "par:" + inner.name + ": " +
                        std::to_string(ps.num_partitions) + " partitions on " +
                        std::to_string(ps.num_threads) + " threads";

@@ -12,34 +12,6 @@ namespace {
 
 constexpr std::uint32_t kNoBand = 0xffffffffu;
 
-/// Transfers the choice classes among the gates of \p nodes, which
-/// copy_gates() copied into \p dst through \p map, with the same guards
-/// as cleanup(): re-strashing may merge a member with its representative
-/// or with a node already classed, and a member may not be among those
-/// gates at all (windows drop the rare member whose cone escapes its
-/// band); in those cases the link is dropped.
-void copy_choices(const Network& src, const std::vector<NodeId>& nodes,
-                  Network& dst, const std::vector<Signal>& map) {
-  std::vector<bool> copied(src.size(), false);
-  for (const NodeId n : nodes) copied[n] = src.is_gate(n);
-  for (const NodeId n : nodes) {
-    if (!copied[n] || !src.is_repr(n)) continue;
-    if (src.node(n).next_choice == kNullNode) continue;
-    for (NodeId m = src.node(n).next_choice; m != kNullNode;
-         m = src.node(m).next_choice) {
-      if (!copied[m]) continue;
-      const NodeId new_repr = map[n].node();
-      const NodeId new_member = map[m].node();
-      if (new_member == new_repr) continue;  // re-strashing merged them
-      if (!dst.is_repr(new_member) || !dst.is_repr(new_repr)) continue;
-      if (dst.node(new_member).next_choice != kNullNode) continue;
-      const bool phase = src.node(m).choice_phase ^ map[n].complemented() ^
-                         map[m].complemented();
-      dst.add_choice(new_repr, new_member, phase);
-    }
-  }
-}
-
 /// Reverse PI lookup (node id -> interface position), shared by all
 /// shards of one partitioning run.
 std::vector<std::size_t> pi_ordinals(const Network& net) {
@@ -246,8 +218,9 @@ PartitionSet partition_network(const Network& net,
 
 Network reassemble(const Network& source, const PartitionSet& parts,
                    const ReassembleOptions& opts) {
-  // Parallel preparation: collect each shard's PO cone (the node set the
-  // ordered merge will copy).  Shard networks are distinct objects and the
+  // Parallel preparation: collect each shard's PO cone with the member
+  // cones of the classes it reaches (the node set the ordered merge will
+  // copy, classes included).  Shard networks are distinct objects and the
   // collection uses task-local scratch, so shards prepare concurrently; the
   // merge below stays a single deterministic ordered pass over the results.
   const std::size_t num_parts = parts.parts.size();
@@ -260,7 +233,8 @@ Network reassemble(const Network& source, const PartitionSet& parts,
         roots.reserve(sn.num_pos());
         for (const auto s : sn.pos()) roots.push_back(s.node());
         std::vector<char> seen;
-        shard_nodes[i] = collect_cone_nodes(sn, roots, opts.keep_choices, seen);
+        shard_nodes[i] = collect_cone_nodes(sn, roots, /*follow_choices=*/true,
+                                            seen);
       },
       ThreadPool::resolve_threads(opts.num_threads));
 
@@ -295,7 +269,7 @@ Network reassemble(const Network& source, const PartitionSet& parts,
 
     const std::vector<NodeId>& nodes = shard_nodes[i];
     copy_gates(sn, nodes, dst, smap);
-    if (opts.keep_choices) copy_choices(sn, nodes, dst, smap);
+    copy_choices(sn, nodes, dst, smap);
 
     for (std::size_t j = 0; j < sn.num_pos(); ++j) {
       const Signal s = sn.po_at(j);

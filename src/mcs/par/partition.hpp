@@ -32,7 +32,8 @@ struct PartitionParams {
   std::size_t max_gates = 4000;
 
   /// Carry choice classes into the shards (members ride with their
-  /// representative's shard), so choice-aware passes see them.
+  /// representative's shard), so choice-aware passes see them;
+  /// reassemble() carries them back.
   bool keep_choices = false;
 
   /// Worker threads for the shard *construction* phase (banding stays
@@ -66,8 +67,6 @@ PartitionSet partition_network(const Network& net,
                                const PartitionParams& params = {});
 
 struct ReassembleOptions {
-  bool keep_choices = false;  ///< copy shard choice classes into the result
-
   /// Worker threads for the per-shard preparation phase (cone collection
   /// over each shard network).  The merge into the destination strash table
   /// itself stays a deterministic ordered pass.  Bit-identical for any
@@ -79,7 +78,10 @@ struct ReassembleOptions {
 /// one network with the PI/PO interface and names of \p source.  Shards
 /// are processed in fixed partition order and every gate is re-strashed,
 /// which deterministically merges structurally identical logic that
-/// different shards produce.
+/// different shards produce.  Whatever choice classes the shards hold come
+/// along through copy_choices(): classes partition_network() carried in
+/// (PartitionParams::keep_choices) and those a choice pass added.
+/// Transforms return choice-free shards, so their results have none.
 Network reassemble(const Network& source, const PartitionSet& parts,
                    const ReassembleOptions& opts = {});
 

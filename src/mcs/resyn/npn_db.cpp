@@ -17,29 +17,6 @@ std::uint32_t cone_depth(const Network& net, Signal s) {
   return net.node(s.node()).level;
 }
 
-/// Number of gates in the cone of \p s.
-std::size_t cone_size(const Network& net, Signal s) {
-  if (!net.is_gate(s.node())) return 0;
-  std::size_t n = 0;
-  net.new_traversal();
-  std::vector<NodeId> stack{s.node()};
-  net.mark(s.node());
-  while (!stack.empty()) {
-    const NodeId id = stack.back();
-    stack.pop_back();
-    ++n;
-    const Node& nd = net.node(id);
-    for (int i = 0; i < nd.num_fanins; ++i) {
-      const NodeId c = nd.fanin[i].node();
-      if (net.is_gate(c) && !net.marked(c)) {
-        net.mark(c);
-        stack.push_back(c);
-      }
-    }
-  }
-  return n;
-}
-
 }  // namespace
 
 const NpnDatabase::Entry& NpnDatabase::entry_for(Tt6 canon) {
@@ -72,11 +49,13 @@ const NpnDatabase::Entry& NpnDatabase::entry_for(Tt6 canon) {
     assert(root.has_value());
     e.root = *root;
     e.depth = cone_depth(e.net, e.root);
-    e.size = cone_size(e.net, e.root);
+    e.cone = topo_order(e.net, {e.root});
+    std::erase_if(e.cone, [&](NodeId n) { return !e.net.is_gate(n); });
     const auto cost = [this](const Entry& x) {
-      return objective_ == Objective::kLevel
-                 ? std::make_pair(static_cast<std::size_t>(x.depth), x.size)
-                 : std::make_pair(x.size, static_cast<std::size_t>(x.depth));
+      const std::size_t size = x.cone.size();
+      const auto depth = static_cast<std::size_t>(x.depth);
+      return objective_ == Objective::kLevel ? std::make_pair(depth, size)
+                                             : std::make_pair(size, depth);
     };
     if (!have_best || cost(e) < cost(best)) {
       best = std::move(e);
@@ -103,17 +82,17 @@ std::optional<Signal> NpnDatabase::instantiate(
   identity.num_vars = 4;
   const NpnMatch m = npn_match(canon.transform, identity);
 
-  std::vector<Signal> pi_map(4);
+  std::vector<Signal> map(entry.net.size());
   for (int j = 0; j < 4; ++j) {
     const int leaf = m.pin_to_leaf[j];
     // Vacuous positions (beyond num_vars) can be fed anything.
     Signal s = leaf < num_vars ? leaves[leaf] : net.constant(false);
     if (m.pin_negation & (1u << j)) s = !s;
-    pi_map[j] = s;
+    map[entry.net.pi_at(j)] = s;
   }
-  Signal out = copy_cone(entry.net, net, entry.root, pi_map);
-  if (m.output_negation) out = !out;
-  return out;
+  copy_gates(entry.net, entry.cone, net, map);
+  return map[entry.root.node()] ^ entry.root.complemented() ^
+         m.output_negation;
 }
 
 NpnDatabase& NpnDatabase::shared(GateBasis basis, Objective objective) {

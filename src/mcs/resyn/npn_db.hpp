@@ -57,11 +57,13 @@ class NpnDatabase {
 
  private:
   /// Replayable optimized structure: a 4-PI scratch network + output.
+  /// instantiate() replays `cone` with copy_gates(), so it walks nothing;
+  /// the cone's gate count is the entry's size.
   struct Entry {
     Network net;
     Signal root;
     std::uint32_t depth = 0;
-    std::size_t size = 0;
+    std::vector<NodeId> cone;  ///< root's cone gates in topo_order()
   };
 
   const Entry& entry_for(Tt6 canon);

@@ -378,6 +378,31 @@ TEST(NetworkUtils, CleanupKeepsChoices) {
   EXPECT_EQ(dropped.num_choices(), 0u);
 }
 
+TEST(NetworkUtils, CleanupKeepsClassesReachedThroughMemberCones) {
+  // Head h1 lies in no PO cone: only the member cone of the higher-id head
+  // h2 reaches it.  Both classes survive the copy.
+  Network net;
+  const Signal a = net.create_pi();
+  const Signal b = net.create_pi();
+  const Signal c = net.create_pi();
+  const Signal d = net.create_pi();
+  const Signal ab = net.create_and(a, b);
+  const Signal h1 = net.create_and(ab, c);
+  const Signal m1 = net.create_and(a, net.create_and(b, c));
+  const Signal m2 = net.create_and(h1, d);
+  const Signal h2 = net.create_and(ab, net.create_and(c, d));
+  ASSERT_LT(h1.node(), h2.node());
+  net.create_po(h2);
+  net.add_choice(h1.node(), m1.node(), false);
+  net.add_choice(h2.node(), m2.node(), false);
+
+  const Network kept = cleanup(net, {.keep_choices = true});
+  std::string why;
+  EXPECT_TRUE(kept.check(&why)) << why;
+  EXPECT_EQ(kept.num_choices(), 2u);
+  EXPECT_EQ(simulate_pos(kept), simulate_pos(net));
+}
+
 TEST(NetworkUtils, CopyConeSubstitutesLeaves) {
   Network src;
   const Signal a = src.create_pi();

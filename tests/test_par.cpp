@@ -121,7 +121,7 @@ TEST(Partition, KeepChoicesCarriesClassesIntoShards) {
   for (const auto& p : parts.parts) shard_choices += p.net.num_choices();
   EXPECT_GT(shard_choices, 0u);
 
-  const Network back = reassemble(choices, parts, {.keep_choices = true});
+  const Network back = reassemble(choices, parts);
   EXPECT_GT(back.num_choices(), 0u);
   EXPECT_EQ(check_equivalence(net, back), CecResult::kEquivalent);
 }
