@@ -138,9 +138,7 @@ bool execute(flow::FlowContext& ctx, const std::vector<std::string>& tokens,
   try {
     const flow::PassArgs args = flow::PassArgs::bind(
         *pass, {tokens.begin() + 1, tokens.end()});
-    // The txn wrapper honours a `ckpt` policy armed earlier in the
-    // session and is exactly run_stage when the policy is off.
-    return flow::run_stage_txn(ctx, *pass, args).ok;
+    return flow::run_stage(ctx, *pass, args).ok;
   } catch (const flow::FlowError& e) {
     std::printf("%s\n", e.what());
     return false;

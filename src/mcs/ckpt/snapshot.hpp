@@ -1,9 +1,9 @@
 /// \file snapshot.hpp
 /// \brief mcs::ckpt -- compact binary network snapshots.
 ///
-/// A snapshot is the durable unit of the checkpoint/rollback layer: the
-/// transactional stage runner (flow::run_stage_txn) captures one before
-/// every mutating stage so a throwing, fault-injected or
+/// A snapshot is the durable unit of the checkpoint/rollback layer: with
+/// a `ckpt` policy armed, the stage runner (flow::run_stage) captures one
+/// before every mutating stage so a throwing, fault-injected or
 /// invariant-violating pass can be rolled back, and the job server
 /// persists one per completed stage so a kill -9'd worker's replacement
 /// resumes a flow at its last completed stage instead of stage 0.

@@ -382,25 +382,63 @@ std::vector<std::uint64_t> po_signatures(const FlowContext& ctx) {
   return sigs;
 }
 
-}  // namespace
+/// Finishes \p report: snapshots the working network and any mapped
+/// artifacts, numbers the report, streams it through ctx.on_stage and
+/// prints the shell's line.  Every report -- ran, failed attempt, skipped
+/// or stopped -- is finished here exactly once.  \p tag starts the
+/// printed line of a stage that did not run to completion ("error: ",
+/// "stopped: ", "" for a skip); nullptr prints a completed stage's stats.
+StageReport record(FlowContext& ctx, StageReport report, const char* tag) {
+  report.gates = ctx.net.num_gates();
+  report.depth = ctx.net.depth();
+  report.choices = ctx.net.num_choices();
+  if (ctx.luts) {
+    report.luts = ctx.luts->size();
+    report.lut_depth = ctx.luts->depth();
+  }
+  if (ctx.cells) {
+    report.cells = ctx.cells->size();
+    report.area = ctx.cells->area;
+    report.delay = ctx.cells->delay;
+  }
+  if (ctx.on_stage) ctx.on_stage(report, ctx.report_count);
+  ++ctx.report_count;
+  if (!ctx.verbose) return report;
+  if (tag != nullptr) {
+    std::printf("%s: %s%s\n", report.pass.c_str(), tag, report.note.c_str());
+    return report;
+  }
+  std::printf("%s%s%s: gates=%zu depth=%u choices=%zu", report.pass.c_str(),
+              report.args.empty() ? "" : ":", report.args.c_str(),
+              report.gates, report.depth, report.choices);
+  if (ctx.luts) {
+    std::printf(" | luts=%zu lut_depth=%u", report.luts, report.lut_depth);
+  }
+  if (ctx.cells) {
+    std::printf(" | cells=%zu area=%.3f delay=%.2f", report.cells,
+                report.area, report.delay);
+  }
+  std::printf(" (%.2fs)", report.seconds);
+  if (!report.note.empty()) std::printf("  -- %s", report.note.c_str());
+  std::printf("\n");
+  return report;
+}
 
-StageReport run_stage(FlowContext& ctx, const PassInfo& pass,
-                      const PassArgs& args) {
+/// One attempt at a stage, recorded.
+StageReport attempt(FlowContext& ctx, const PassInfo& pass,
+                    const PassArgs& args) {
   StageReport report;
   report.pass = pass.name;
   report.args = args.canonical();
   ctx.note.clear();
   // Every registered pass gets an enter/exit span and a metrics window for
-  // free: counter movement during the stage lands in report.metrics, spans
+  // free: the stage (and, through pool inheritance, all of its tasks) runs
+  // under the flow's domain, so the domain's counter movement during the
+  // stage is exactly this stage's work and lands in report.metrics; spans
   // started during the stage (the pass's own span included) land in
-  // report.spans.  With a domain on the context the stage (and, through
-  // pool inheritance, all of its tasks) runs under the job's scope and the
-  // window reads the domain -- exact per-job deltas under concurrency;
-  // without one it falls back to the process-wide registry.
+  // report.spans.
   obs::Scope domain_scope(ctx.domain.get());
-  report.metrics_scope = ctx.domain ? "job" : "process";
-  const obs::MetricsSnapshot metrics_before =
-      ctx.domain ? ctx.domain->snapshot() : obs::snapshot();
+  const obs::MetricsSnapshot metrics_before = ctx.domain->snapshot();
   const std::uint64_t span_window_start = obs::now_us();
   const auto t0 = std::chrono::steady_clock::now();
   const bool rewrites =
@@ -456,78 +494,24 @@ StageReport run_stage(FlowContext& ctx, const PassInfo& pass,
   report.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  report.metrics =
-      ctx.domain ? obs::snapshot_diff(ctx.domain->snapshot(), metrics_before)
-                 : obs::snapshot_delta(metrics_before);
+  report.metrics = obs::snapshot_diff(ctx.domain->snapshot(), metrics_before);
   if (obs::tracing_enabled()) {
     report.spans = obs::aggregate_spans(span_window_start);
   }
   report.note = ctx.note;
-  report.gates = ctx.net.num_gates();
-  report.depth = ctx.net.depth();
-  report.choices = ctx.net.num_choices();
-  if (ctx.luts) {
-    report.luts = ctx.luts->size();
-    report.lut_depth = ctx.luts->depth();
-  }
-  if (ctx.cells) {
-    report.cells = ctx.cells->size();
-    report.area = ctx.cells->area;
-    report.delay = ctx.cells->delay;
-  }
-  ctx.history.push_back(report);
-  if (ctx.on_stage) ctx.on_stage(ctx.history.back(), ctx.history.size() - 1);
-  if (ctx.verbose) {
-    if (!report.ok) {
-      std::printf("%s: error: %s\n", report.pass.c_str(), report.note.c_str());
-    } else {
-      std::printf("%s%s%s: gates=%zu depth=%u choices=%zu", report.pass.c_str(),
-                  report.args.empty() ? "" : ":",
-                  report.args.c_str(), report.gates, report.depth,
-                  report.choices);
-      if (ctx.luts) {
-        std::printf(" | luts=%zu lut_depth=%u", report.luts, report.lut_depth);
-      }
-      if (ctx.cells) {
-        std::printf(" | cells=%zu area=%.3f delay=%.2f", report.cells,
-                    report.area, report.delay);
-      }
-      std::printf(" (%.2fs)", report.seconds);
-      if (!report.note.empty()) std::printf("  -- %s", report.note.c_str());
-      std::printf("\n");
-    }
-  }
-  return report;
+  const char* tag = report.ok ? nullptr : "error: ";
+  return record(ctx, std::move(report), tag);
 }
 
-std::optional<StageReport> check_interrupted(FlowContext& ctx,
-                                             const PassInfo& next_pass) {
-  const char* reason =
-      ctx.cancel ? ctx.cancel->stop_reason() : nullptr;
-  if (reason == nullptr) return std::nullopt;
-  StageReport report;
-  report.pass = next_pass.name;
-  report.ok = false;
-  report.metrics_scope = ctx.domain ? "job" : "process";
-  report.note = reason;
-  report.gates = ctx.net.num_gates();
-  report.depth = ctx.net.depth();
-  report.choices = ctx.net.num_choices();
-  ctx.history.push_back(report);
-  if (ctx.on_stage) ctx.on_stage(ctx.history.back(), ctx.history.size() - 1);
-  if (ctx.verbose) {
-    std::printf("%s: stopped: %s\n", report.pass.c_str(), report.note.c_str());
-  }
-  return report;
-}
+}  // namespace
 
-StageReport run_stage_txn(FlowContext& ctx, const PassInfo& pass,
-                          const PassArgs& args) {
-  // Disabled (the default), or a stage with nothing to recover:
-  // exactly run_stage, one branch.
+StageReport run_stage(FlowContext& ctx, const PassInfo& pass,
+                      const PassArgs& args) {
+  // Disabled (the default), or a stage with nothing to recover: one
+  // attempt, one branch.
   const bool mutates = mutates_network(pass.kind);
   if (!ctx.txn.snapshot || !(mutates || pass.kind == PassKind::kMapping)) {
-    return run_stage(ctx, pass, args);
+    return attempt(ctx, pass, args);
   }
 
   // A mapping stage leaves the network alone and sets its artifact only
@@ -541,7 +525,7 @@ StageReport run_stage_txn(FlowContext& ctx, const PassInfo& pass,
 
   int attempts = 0;
   for (;;) {
-    StageReport report = run_stage(ctx, pass, args);
+    StageReport report = attempt(ctx, pass, args);
     if (report.ok) return report;
 
     if (ctx.txn.on_failure == TxnPolicy::OnFailure::kFail) return report;
@@ -563,7 +547,7 @@ StageReport run_stage_txn(FlowContext& ctx, const PassInfo& pass,
         std::printf("%s: rolled back, retry %d/%d\n", pass.name.c_str(),
                     attempts, ctx.txn.max_retries);
       }
-      continue;  // the failed attempt is already in ctx.history / streamed
+      continue;  // the failed attempt is already recorded
     }
 
     // kSkip, or a kRetry budget exhausted under kSkip-free semantics: under
@@ -576,20 +560,22 @@ StageReport run_stage_txn(FlowContext& ctx, const PassInfo& pass,
     StageReport skipped;
     skipped.pass = pass.name;
     skipped.args = report.args;
-    skipped.metrics_scope = report.metrics_scope;
     skipped.note = "skipped after rollback: " + report.note;
-    skipped.gates = ctx.net.num_gates();
-    skipped.depth = ctx.net.depth();
-    skipped.choices = ctx.net.num_choices();
-    ctx.history.push_back(skipped);
-    if (ctx.on_stage) {
-      ctx.on_stage(ctx.history.back(), ctx.history.size() - 1);
-    }
-    if (ctx.verbose) {
-      std::printf("%s: %s\n", skipped.pass.c_str(), skipped.note.c_str());
-    }
-    return skipped;
+    return record(ctx, std::move(skipped), "");
   }
+}
+
+std::optional<StageReport> check_interrupted(FlowContext& ctx,
+                                             const Flow::Stage& next) {
+  const char* reason =
+      ctx.cancel ? ctx.cancel->stop_reason() : nullptr;
+  if (reason == nullptr) return std::nullopt;
+  StageReport report;
+  report.pass = next.pass->name;
+  report.args = next.args.canonical();
+  report.ok = false;
+  report.note = reason;
+  return record(ctx, std::move(report), "stopped: ");
 }
 
 Flow Flow::parse(const std::string& spec) {
@@ -633,23 +619,19 @@ FlowReport Flow::run(FlowContext& ctx) const {
   // or bench plumbing (idempotent; the dump happens at process exit).
   obs::init_from_env();
   fail::init_from_env();
-  // Per-flow attribution: every flow runs under its own metric domain (the
-  // job server pre-installs one per job; CLI and bench flows get one here),
-  // so per-stage metrics windows never absorb concurrent work.
-  if (!ctx.domain) ctx.domain = std::make_shared<obs::Domain>();
   FlowReport report;
   const auto t0 = std::chrono::steady_clock::now();
   for (const Stage& stage : stages_) {
     // Cooperative stop: a cancelled token or a passed deadline stops the
     // flow *between* stages, recorded as a failed stage that never ran.
-    if (auto stopped = check_interrupted(ctx, *stage.pass)) {
+    if (auto stopped = check_interrupted(ctx, stage)) {
       report.stages.push_back(std::move(*stopped));
       report.ok = false;
       report.error =
           report.stages.back().pass + ": " + report.stages.back().note;
       break;
     }
-    report.stages.push_back(run_stage_txn(ctx, *stage.pass, stage.args));
+    report.stages.push_back(run_stage(ctx, *stage.pass, stage.args));
     if (!report.stages.back().ok) {
       report.ok = false;
       report.error =
@@ -708,11 +690,8 @@ std::string StageReport::to_json() const {
   out += ", \"note\": ";
   out += json_quote(s.note);
   // Observability fields (see README "Observability"): counter *deltas*
-  // over the stage, gauges at stage end, per-name span aggregates.
-  // metrics_scope says which accumulator the window read ("job" = the
-  // flow's own domain, "process" = the pre-v2 global registry).
-  out += ", \"metrics_scope\": ";
-  out += json_quote(s.metrics_scope);
+  // of the flow's domain over the stage, gauges at stage end, per-name
+  // span aggregates.
   out += ", \"metrics\": {\"counters\": {";
   for (std::size_t k = 0; k < s.metrics.counters.size(); ++k) {
     if (k) out += ", ";

@@ -9,7 +9,8 @@
 ///
 ///   - FlowContext: the state a flow threads through its stages (working
 ///     network, reference snapshot, mapped artifacts, tech library, thread
-///     pool settings, RNG seed, per-stage reports).
+///     pool settings, RNG seed, its own metric domain, the count of stage
+///     reports recorded so far).
 ///   - PassInfo + PassRegistry: every pass self-describes (name, summary,
 ///     typed param schema) and registers once; shells, flows and benches
 ///     all dispatch through registry lookups.  `help` text and the README
@@ -19,6 +20,9 @@
 ///          map_lut:k=6; cec"
 ///     Stages are `name[:arg,...]`; args are `key=value` or positional (in
 ///     schema order).  The whole spec is validated *before* execution.
+///   - run_stage: the one stage runner.  The shell, Flow::run and the job
+///     server all execute stages through it, so every stage gets the same
+///     timing, metrics window, rollback policy and report streaming.
 ///   - FlowReport: structured per-stage results (gates/depth/LUTs/time),
 ///     JSON-serializable for scripted runs (see bench_util's emitter).
 ///
@@ -313,19 +317,13 @@ struct StageReport {
   double area = 0.0;
   double delay = 0.0;
 
-  // Observability: counters that moved while this stage ran (deltas) plus
-  // the gauge values at stage end, and -- with tracing on -- the spans that
-  // started during the stage, aggregated by name.  Both empty when the
-  // library is built with MCS_OBS_DISABLE.
+  // Observability: the counters of the flow's metric domain that moved
+  // while this stage ran (deltas: this stage's own work, whatever else the
+  // process does meanwhile) plus the domain's gauges at stage end, and --
+  // with tracing on -- the spans that started during the stage, aggregated
+  // by name.  Both empty when the library is built with MCS_OBS_DISABLE.
   obs::MetricsSnapshot metrics;
   std::vector<obs::SpanStats> spans;
-
-  /// Which accumulator `metrics` was read from: "job" when the flow ran
-  /// under its own obs::Domain (exact per-flow deltas even when concurrent
-  /// jobs share the pool), "process" for the pre-v2 process-global window
-  /// (deltas absorb every concurrent job's work).  Serialized as
-  /// "metrics_scope" so JSON consumers can tell which semantics they got.
-  std::string metrics_scope = "process";
 
   /// One self-contained JSON object for this stage -- the unit the job
   /// server streams to clients as stages complete (FlowReport::to_json
@@ -356,7 +354,11 @@ struct FlowContext {
   std::uint64_t seed = 0;  ///< flow RNG seed; 0 = per-pass defaults
   bool verbose = false;    ///< passes print per-stage summaries (the shell)
   std::string note;        ///< set by the running pass, harvested per stage
-  std::vector<StageReport> history;  ///< every stage executed on this context
+
+  /// Stage reports recorded on this context so far -- failed attempts,
+  /// skipped and stopped stages included.  It is the index on_stage hands
+  /// the next report, and the job server's done line reports it.
+  std::size_t report_count = 0;
 
   /// Cooperative stop control: when set, Flow::run()/run_flow() (and the
   /// job server) check the token at every stage boundary and stop with a
@@ -364,52 +366,42 @@ struct FlowContext {
   /// Mid-stage work is never interrupted.
   std::shared_ptr<CancelToken> cancel;
 
-  /// Streaming hook: invoked after every stage lands in ctx.history (the
-  /// synthetic cancelled/timeout stage included) with the report and its
-  /// index, before the next stage starts.  The job server streams per-stage
-  /// JSON to its clients from here.  Must not throw.
+  /// Streaming hook: invoked once for every recorded report (failed
+  /// attempts and the synthetic skipped or cancelled/timeout stage
+  /// included) with the report and its index, before the next stage
+  /// starts.  The job server streams per-stage JSON to its clients from
+  /// here.  Must not throw.
   std::function<void(const StageReport&, std::size_t)> on_stage;
 
   /// Checkpoint/rollback policy (see TxnPolicy); disabled by default.
   TxnPolicy txn;
 
-  /// Metric-attribution domain for this flow.  When set, run_stage installs
-  /// it (obs::Scope) around every stage -- the pool propagates it to all
-  /// tasks -- and reads the per-stage metrics window from it, so
-  /// StageReport.metrics is an exact per-job delta under concurrency.
-  /// Flow::run creates one on demand; the job server installs one per job
-  /// at submission.  Must outlive every pool task of the flow (holding it
-  /// on the context guarantees that).
-  std::shared_ptr<obs::Domain> domain;
+  /// This flow's metric-attribution domain, created with the context and
+  /// never null.  run_stage installs it (obs::Scope) around every stage --
+  /// the pool propagates it to all tasks -- and reads the stage's metrics
+  /// window from it, so StageReport::metrics is the stage's exact delta
+  /// even while other flows share the process and its pool.  Copies of a
+  /// context share it.  Must outlive every pool task of the flow (holding
+  /// it on the context guarantees that).
+  std::shared_ptr<obs::Domain> domain = std::make_shared<obs::Domain>();
 };
 
-/// Executes one bound pass on \p ctx: times it, captures errors (returned
-/// as !ok, never thrown), snapshots stats, appends to ctx.history, invokes
-/// ctx.on_stage and prints a summary when ctx.verbose.  The shell,
-/// Flow::run and the job server's scheduler share this.
+/// Executes one bound pass on \p ctx -- the only stage runner; the shell,
+/// Flow::run and the job server's scheduler all call it.  Times the pass
+/// under ctx.domain, captures errors (returned as !ok, never thrown),
+/// snapshots stats, counts the report in ctx.report_count, invokes
+/// ctx.on_stage and prints a summary when ctx.verbose.
+///
+/// With ctx.txn.snapshot on, a mutating pass (source/transform/choice
+/// kind) runs on a binary snapshot of the network: when the stage fails --
+/// a throw, an injected fault or a ctx.txn validation failure -- the
+/// pre-stage network is restored and ctx.txn.on_failure applies (budgeted
+/// retry / skip with a synthetic ok report / fail).  Mapping stages retry
+/// and skip the same way without a snapshot.  Every failed attempt is
+/// recorded and streamed like a normal stage; the returned report is the
+/// last one.
 StageReport run_stage(FlowContext& ctx, const PassInfo& pass,
                       const PassArgs& args);
-
-/// The stage-boundary interruption check shared by Flow::run and the job
-/// server's per-stage scheduler: when ctx.cancel reports a stop reason,
-/// builds a failed StageReport for the not-run \p next_pass (note = the
-/// reason, current network stats snapshotted), appends it to ctx.history,
-/// invokes ctx.on_stage, and returns it.  std::nullopt while runnable (or
-/// when no token is set).
-std::optional<StageReport> check_interrupted(FlowContext& ctx,
-                                             const PassInfo& next_pass);
-
-/// Transactional wrapper over run_stage: with ctx.txn.snapshot on and a
-/// mutating pass (source/transform/choice kind), captures a binary network
-/// snapshot first; when the stage fails -- a throw, an injected fault or a
-/// ctx.txn validation failure -- restores the pre-stage network and applies
-/// ctx.txn.on_failure (budgeted retry / skip with a synthetic ok report /
-/// fail).  Every failed attempt is appended to ctx.history and streamed
-/// like a normal stage.  With the policy disabled (or a non-mutating pass)
-/// this is exactly run_stage.  Flow::run and the job server's per-stage
-/// scheduler share this.
-StageReport run_stage_txn(FlowContext& ctx, const PassInfo& pass,
-                          const PassArgs& args);
 
 /// A validated pipeline of bound passes.
 class Flow {
@@ -434,6 +426,15 @@ class Flow {
  private:
   std::vector<Stage> stages_;
 };
+
+/// The stage-boundary interruption check shared by Flow::run and the job
+/// server's per-stage scheduler: when ctx.cancel reports a stop reason,
+/// records a failed StageReport for the not-run \p next stage (its pass
+/// and canonical args, note = the reason, the current network and mapped
+/// artifacts snapshotted) like any other report, and returns it.
+/// std::nullopt while runnable (or when no token is set).
+std::optional<StageReport> check_interrupted(FlowContext& ctx,
+                                             const Flow::Stage& next);
 
 /// Parses and runs \p spec on \p ctx (the shared entry point of the shell's
 /// `flow` command, the benches and the tests).  Parse errors throw

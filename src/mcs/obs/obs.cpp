@@ -438,21 +438,6 @@ MetricsSnapshot snapshot() {
   return snap;
 }
 
-MetricsSnapshot snapshot_delta(const MetricsSnapshot& before) {
-  MetricsSnapshot now = snapshot();
-  std::unordered_map<std::string_view, std::int64_t> prev;
-  prev.reserve(before.counters.size());
-  for (const MetricValue& mv : before.counters) prev.emplace(mv.name, mv.value);
-  MetricsSnapshot delta;
-  delta.gauges = now.gauges;
-  for (const MetricValue& mv : now.counters) {
-    auto it = prev.find(mv.name);
-    const std::int64_t base = it == prev.end() ? 0 : it->second;
-    if (mv.value != base) delta.counters.push_back({mv.name, mv.value - base});
-  }
-  return delta;
-}
-
 std::vector<HistogramSnapshot> histogram_snapshots() {
   Registry& reg = registry();
   std::lock_guard<std::mutex> lock(reg.mu);

@@ -425,11 +425,6 @@ Histogram& histogram(std::string_view name);
 /// and `<name>.p50_bucket` (upper bound of the median log2 bucket).
 MetricsSnapshot snapshot();
 
-/// Counters that changed between \p before and now (name -> delta), plus
-/// the current gauge values.  The flow layer attaches this to every stage
-/// (through the job's Domain when one is installed -- see FlowContext).
-MetricsSnapshot snapshot_delta(const MetricsSnapshot& before);
-
 /// Every registered histogram with raw buckets, count and sum; names
 /// sorted.  Feeds metrics_text percentile columns, the telemetry ring and
 /// the Prometheus export.
@@ -617,7 +612,6 @@ Gauge& gauge(std::string_view name);
 Histogram& histogram(std::string_view name);
 
 inline MetricsSnapshot snapshot() { return {}; }
-inline MetricsSnapshot snapshot_delta(const MetricsSnapshot&) { return {}; }
 inline std::vector<HistogramSnapshot> histogram_snapshots() { return {}; }
 std::string metrics_text();
 std::string metrics_json();
@@ -650,5 +644,11 @@ class Span {
 };
 
 #endif  // MCS_OBS_DISABLE
+
+/// Counters of the process-wide registry that changed between \p before
+/// and now (name -> delta), plus the current gauge values.
+inline MetricsSnapshot snapshot_delta(const MetricsSnapshot& before) {
+  return snapshot_diff(snapshot(), before);
+}
 
 }  // namespace mcs::obs

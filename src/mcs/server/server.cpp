@@ -232,15 +232,27 @@ std::uint64_t JobServer::attach(Sink sink) {
 }
 
 void JobServer::detach(std::uint64_t client, bool cancel_jobs) {
+  std::shared_ptr<Client> gone;
   std::vector<std::shared_ptr<flow::CancelToken>> to_cancel;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    clients_.erase(client);
+    if (auto it = clients_.find(client); it != clients_.end()) {
+      gone = std::move(it->second);
+      clients_.erase(it);
+    }
     if (cancel_jobs) {
       for (const auto& [key, job] : jobs_) {
         if (key.first == client) to_cancel.push_back(job->token);
       }
     }
+  }
+  if (gone != nullptr) {
+    // An emit that found the client before the erase may be inside the
+    // sink right now: wait it out, and mark the client so no later one
+    // calls the sink.  The caller may free what the sink writes to as
+    // soon as this returns.
+    std::lock_guard<std::mutex> write_lock(gone->write_mutex);
+    gone->detached = true;
   }
   // Queued jobs are not plucked from the ready queue here: their runner
   // dispatch hits check_interrupted immediately and finalizes them (the
@@ -258,6 +270,7 @@ void JobServer::emit(std::uint64_t client, const std::string& line) {
     c = it->second;
   }
   std::lock_guard<std::mutex> write_lock(c->write_mutex);
+  if (c->detached) return;  // detached after the lookup; drop the line
   try {
     fail::point("server.emit");  // simulates a sink dying mid-write
     c->sink(line);
@@ -402,10 +415,6 @@ void JobServer::handle_submit(std::uint64_t client, const Request& req) {
     job->token->set_deadline_after(std::chrono::milliseconds(timeout_ms));
   }
   job->ctx.cancel = job->token;
-  // The job's metric domain: run_stage installs it, the pool propagates it
-  // into every task the job fans out, so streamed stage "metrics" are this
-  // job's exact deltas and the "jobs" verb reads live attribution off it.
-  job->ctx.domain = std::make_shared<obs::Domain>();
   if (options_.stream_stages) {
     // Captures `this`, a raw Job* and values only: the job must not own a
     // closure that owns the job.  JobServer outlives every job (the
@@ -565,12 +574,9 @@ void JobServer::handle_jobs(std::uint64_t client) {
       info.weight = job->weight;
       info.seconds = seconds_since(job->accepted_at);
       info.queue_wait_seconds = job->started ? job->queue_wait_seconds : 0.0;
-      if (job->ctx.domain != nullptr) {
-        info.cpu_us = job->ctx.domain->cpu_us();
-        info.strash_bytes =
-            job->ctx.domain->peak(obs::DomainPeak::kStrashBytes);
-        info.arena_bytes = job->ctx.domain->peak(obs::DomainPeak::kArenaBytes);
-      }
+      info.cpu_us = job->ctx.domain->cpu_us();
+      info.strash_bytes = job->ctx.domain->peak(obs::DomainPeak::kStrashBytes);
+      info.arena_bytes = job->ctx.domain->peak(obs::DomainPeak::kArenaBytes);
       rows.push_back(std::move(info));
     }
   }
@@ -667,7 +673,7 @@ void JobServer::runner_loop(std::size_t /*index*/) {
 
     // Stage boundary: a tripped token stops the job with a synthetic
     // failed stage (streamed like any other) instead of running the pass.
-    if (auto stopped = flow::check_interrupted(job->ctx, *stage.pass)) {
+    if (auto stopped = flow::check_interrupted(job->ctx, stage)) {
       const bool timed_out = stopped->note == "timeout";
       finalize(job, timed_out ? "timeout" : "cancelled", stopped->note);
       continue;
@@ -676,11 +682,11 @@ void JobServer::runner_loop(std::size_t /*index*/) {
     flow::StageReport report;
     {
       obs::Span span("server:stage");
-      // The transactional runner: with the job's TxnPolicy armed (the
-      // `ckpt` pass), a throwing/fault-injected/invariant-breaking stage
-      // rolls the network back to its pre-stage snapshot and retries or
-      // skips per policy instead of failing the job outright.
-      report = flow::run_stage_txn(job->ctx, *stage.pass, stage.args);
+      // With the job's TxnPolicy armed (the `ckpt` pass), a throwing,
+      // fault-injected or invariant-breaking stage rolls the network back
+      // to its pre-stage snapshot and retries or skips per policy instead
+      // of failing the job outright.
+      report = flow::run_stage(job->ctx, *stage.pass, stage.args);
     }
     metrics().stages_run.increment();
     // Floor per-stage cost so zero-measure stages still advance vtime and
@@ -711,7 +717,7 @@ void JobServer::runner_loop(std::size_t /*index*/) {
     // Check again after the stage so a cancel/timeout that landed while
     // the pass ran finalizes now instead of after another queue round-trip.
     const flow::Flow::Stage& next = job->flow.stages()[job->next_stage];
-    if (auto stopped = flow::check_interrupted(job->ctx, *next.pass)) {
+    if (auto stopped = flow::check_interrupted(job->ctx, next)) {
       const bool timed_out = stopped->note == "timeout";
       finalize(job, timed_out ? "timeout" : "cancelled", stopped->note);
       continue;
@@ -757,7 +763,7 @@ void JobServer::finalize(const std::shared_ptr<Job>& job,
 
   const double total_seconds = seconds_since(job->accepted_at);
   const std::string line =
-      done_line(job->id, status, error, job->ctx.history.size(),
+      done_line(job->id, status, error, job->ctx.report_count,
                 total_seconds, job->queue_wait_seconds, job->ctx, extras);
 
   {
@@ -802,9 +808,7 @@ void JobServer::finalize(const std::shared_ptr<Job>& job,
   m.job_latency_us.observe(static_cast<std::uint64_t>(total_seconds * 1e6));
   // Attributed CPU over every thread that worked for this job's domain --
   // the per-job cost number the wall-clock latency histogram cannot give.
-  if (job->ctx.domain != nullptr) {
-    m.job_cpu_us.observe(job->ctx.domain->cpu_us());
-  }
+  m.job_cpu_us.observe(job->ctx.domain->cpu_us());
   job->span.reset();  // records server:job on this thread
 
   if (journal_.is_open()) {

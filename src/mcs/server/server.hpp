@@ -18,10 +18,11 @@
 /// adder maps: after its first expensive stage its vtime is far above the
 /// floor, so every waiting small job is dispatched first, while the other
 /// runner slots keep draining short jobs even during the heavy stage
-/// itself.  Stages execute through flow::run_stage and fan out internally
-/// on the shared ThreadPool::global() -- the scheduler decides *which*
-/// job's stage runs next, the pool decides how a stage's own parallelism
-/// lands on the hardware.
+/// itself.  Stages execute through flow::run_stage, the flow layer's one
+/// stage runner (a job's `ckpt` rollback policy included), and fan out
+/// internally on the shared ThreadPool::global() -- the scheduler decides
+/// *which* job's stage runs next, the pool decides how a stage's own
+/// parallelism lands on the hardware.
 ///
 /// **Cancellation and timeouts.**  Each job owns a flow::CancelToken
 /// (cancel request + wall-clock deadline armed at accept time), checked at
@@ -40,15 +41,14 @@
 /// stage additionally under `server:stage`), and the server maintains
 /// `server.*` counters (accepted/completed/cancelled/timed-out/...),
 /// queue-wait and job-latency histograms and running/queued gauges -- see
-/// the README metric catalogue.  Since obs v2 each accepted job also gets
-/// its own obs::Domain (installed on the FlowContext, inherited by every
-/// pool task the job fans out), so streamed per-stage "metrics" are exact
-/// per-job deltas even under concurrency, and the job's attributed CPU
-/// time (`server.job_cpu_us`) and peak arena/strash bytes are live in the
-/// "jobs" admin verb.  The ctor starts the obs ring sampler
-/// (telemetry_interval_ms/telemetry_ring) and the admin verbs "stats" /
-/// "health" / "jobs" answer at any time -- including mid-drain -- which is
-/// what `mcs_top` polls.
+/// the README metric catalogue.  Each job's FlowContext carries its own
+/// obs::Domain (inherited by every pool task the job fans out), so
+/// streamed per-stage "metrics" are exact per-job deltas even under
+/// concurrency, and the job's attributed CPU time (`server.job_cpu_us`)
+/// and peak arena/strash bytes are live in the "jobs" admin verb.  The
+/// ctor starts the obs ring sampler (telemetry_interval_ms/telemetry_ring)
+/// and the admin verbs "stats" / "health" / "jobs" answer at any time --
+/// including mid-drain -- which is what `mcs_top` polls.
 ///
 /// **Robustness.**  With ServerOptions::journal_path set, every job
 /// transition lands in a durable fsync'd journal (journal.hpp) before the
@@ -197,8 +197,10 @@ class JobServer {
   /// responses to \p sink.
   std::uint64_t attach(Sink sink);
 
-  /// Unregisters a client; its pending responses are dropped.  With
-  /// \p cancel_jobs, the client's in-flight jobs are cancelled (socket
+  /// Unregisters a client; its pending responses are dropped.  Returns
+  /// only once no call of the client's sink is running, and none starts
+  /// afterwards, so the caller may then free what the sink writes to.
+  /// With \p cancel_jobs, the client's in-flight jobs are cancelled (socket
   /// disconnect semantics); without, they run to completion unobserved.
   void detach(std::uint64_t client, bool cancel_jobs = false);
 
@@ -224,6 +226,8 @@ class JobServer {
   struct Client {
     Sink sink;
     std::mutex write_mutex;  ///< one response line at a time
+    /// Set by detach() under write_mutex; emit() then drops the line.
+    bool detached = false;
   };
 
   struct Job {

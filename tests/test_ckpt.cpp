@@ -228,9 +228,21 @@ class TxnTest : public ::testing::Test {
   void TearDown() override { fail::disable(); }
 };
 
+/// Collects every report \p ctx records, failed attempts included, and
+/// checks that on_stage numbers them 0, 1, 2, ... without gaps.
+void collect_reports(flow::FlowContext& ctx,
+                     std::vector<flow::StageReport>& out) {
+  ctx.on_stage = [&out](const flow::StageReport& report, std::size_t index) {
+    EXPECT_EQ(index, out.size());
+    out.push_back(report);
+  };
+}
+
 TEST_F(TxnTest, RetryCompletesBitIdenticalToUninjectedRun) {
   // Reference: no faults, no checkpointing.
   flow::FlowContext clean;
+  std::vector<flow::StageReport> clean_reports;
+  collect_reports(clean, clean_reports);
   const std::string spec = "gen:adder,bits=16; rewrite; balance; resub";
   ASSERT_TRUE(flow::run_flow(spec, clean).ok);
   const std::string want = blif_of(clean.net);
@@ -244,6 +256,8 @@ TEST_F(TxnTest, RetryCompletesBitIdenticalToUninjectedRun) {
       obs::counter("ckpt.retries").value();
   fail::configure("flow.stage=throw,after=2,count=1");
   flow::FlowContext injected;
+  std::vector<flow::StageReport> injected_reports;
+  collect_reports(injected, injected_reports);
   injected.txn.snapshot = true;
   injected.txn.on_failure = flow::TxnPolicy::OnFailure::kRetry;
   injected.txn.max_retries = 1;
@@ -256,11 +270,14 @@ TEST_F(TxnTest, RetryCompletesBitIdenticalToUninjectedRun) {
   EXPECT_GE(obs::counter("ckpt.rollbacks").value(), rollbacks_before + 1);
   EXPECT_GE(obs::counter("ckpt.retries").value(), retries_before + 1);
 #endif
-  // The failed attempt is part of the record: one more history entry than
-  // the clean run, marked not-ok.
-  EXPECT_EQ(injected.history.size(), clean.history.size() + 1);
+  // The failed attempt is part of the record: one more streamed report
+  // than the clean run, marked not-ok, and counted on the context.  The
+  // returned report holds one entry per stage.
+  EXPECT_EQ(injected_reports.size(), clean_reports.size() + 1);
+  EXPECT_EQ(injected.report_count, injected_reports.size());
+  EXPECT_EQ(report.stages.size(), clean_reports.size());
   std::size_t failed = 0;
-  for (const flow::StageReport& stage : injected.history) {
+  for (const flow::StageReport& stage : injected_reports) {
     if (!stage.ok) ++failed;
   }
   EXPECT_EQ(failed, 1u);
@@ -269,6 +286,8 @@ TEST_F(TxnTest, RetryCompletesBitIdenticalToUninjectedRun) {
 TEST_F(TxnTest, RetryBudgetExhaustedFailsTheStage) {
   fail::configure("flow.stage=throw,after=1");  // every later hit fires
   flow::FlowContext ctx;
+  std::vector<flow::StageReport> reports;
+  collect_reports(ctx, reports);
   ctx.txn.snapshot = true;
   ctx.txn.on_failure = flow::TxnPolicy::OnFailure::kRetry;
   ctx.txn.max_retries = 2;
@@ -277,10 +296,11 @@ TEST_F(TxnTest, RetryBudgetExhaustedFailsTheStage) {
   EXPECT_FALSE(report.ok);
   // 1 original attempt + 2 retries of the rewrite stage, all failed.
   std::size_t failed = 0;
-  for (const flow::StageReport& stage : ctx.history) {
+  for (const flow::StageReport& stage : reports) {
     if (!stage.ok) ++failed;
   }
   EXPECT_EQ(failed, 3u);
+  EXPECT_EQ(ctx.report_count, 4u);
 }
 
 TEST_F(TxnTest, SkipDropsTheStageAndTheFlowContinues) {
@@ -288,6 +308,8 @@ TEST_F(TxnTest, SkipDropsTheStageAndTheFlowContinues) {
       obs::counter("ckpt.skips").value();
   fail::configure("flow.stage=throw,after=1");
   flow::FlowContext ctx;
+  std::vector<flow::StageReport> reports;
+  collect_reports(ctx, reports);
   ctx.txn.snapshot = true;
   ctx.txn.on_failure = flow::TxnPolicy::OnFailure::kSkip;
   const flow::FlowReport report =
@@ -304,11 +326,19 @@ TEST_F(TxnTest, SkipDropsTheStageAndTheFlowContinues) {
   ASSERT_TRUE(flow::run_flow("gen:adder,bits=8", plain).ok);
   EXPECT_EQ(blif_of(ctx.net), blif_of(plain.net));
 
+  // gen, then a failed attempt and its skip for each of the two stages;
+  // the returned report keeps the skips.
+  ASSERT_EQ(reports.size(), 5u);
+  EXPECT_EQ(ctx.report_count, 5u);
+  ASSERT_EQ(report.stages.size(), 3u);
   std::size_t skipped = 0;
-  for (const flow::StageReport& stage : ctx.history) {
+  for (const flow::StageReport& stage : reports) {
     if (stage.note.rfind("skipped after rollback:", 0) == 0) ++skipped;
   }
   EXPECT_EQ(skipped, 2u);
+  for (const flow::StageReport& stage : report.stages) {
+    EXPECT_TRUE(stage.ok) << stage.pass << ": " << stage.note;
+  }
 }
 
 TEST_F(TxnTest, FailPolicyStopsImmediatelyWithoutRollback) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -21,6 +22,7 @@
 
 #include "mcs/choice/mch.hpp"
 #include "mcs/circuits/circuits.hpp"
+#include "mcs/fail/fail.hpp"
 #include "mcs/flow/flow.hpp"
 #include "mcs/map/lut_mapper.hpp"
 #include "mcs/network/convert.hpp"
@@ -229,6 +231,10 @@ TEST(FlowRun, PaperFlowMatchesHandWiredSequence) {
 
 TEST(FlowRun, ReportCarriesPerStageStats) {
   FlowContext ctx;
+  std::vector<std::pair<std::size_t, std::size_t>> streamed;  // index, luts
+  ctx.on_stage = [&](const flow::StageReport& stage, std::size_t index) {
+    streamed.emplace_back(index, stage.luts);
+  };
   const FlowReport report =
       flow::run_flow("gen:adder,bits=16; compress2rs:rounds=2; map_lut:k=4",
                      ctx);
@@ -239,9 +245,13 @@ TEST(FlowRun, ReportCarriesPerStageStats) {
   EXPECT_GT(report.stages[2].luts, 0u);
   EXPECT_GT(report.stages[2].lut_depth, 0u);
   EXPECT_GE(report.total_seconds, 0.0);
-  // The context history mirrors the report.
-  ASSERT_EQ(ctx.history.size(), 3u);
-  EXPECT_EQ(ctx.history[2].luts, report.stages[2].luts);
+  // The streamed reports mirror the returned ones, numbered in order.
+  EXPECT_EQ(ctx.report_count, 3u);
+  ASSERT_EQ(streamed.size(), 3u);
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_EQ(streamed[i].first, i);
+    EXPECT_EQ(streamed[i].second, report.stages[i].luts);
+  }
   // JSON serialization is well-formed enough to contain every pass name.
   const std::string json = report.to_json();
   EXPECT_NE(json.find("\"pass\": \"gen\""), std::string::npos);
@@ -249,32 +259,50 @@ TEST(FlowRun, ReportCarriesPerStageStats) {
   EXPECT_NE(json.find("\"ok\": true"), std::string::npos);
 }
 
-TEST(FlowRun, MetricsScopeSaysWhichAccumulatorStagesRead) {
-  // run_flow gives every flow its own metric domain, so its stage metrics
-  // are exact per-flow deltas and say "job".  A bare run_stage on a
-  // domain-less context keeps the pre-v2 semantics -- deltas of the
-  // process-global registry, marked "process" -- so JSON consumers can tell
-  // which accumulator they are looking at.
-  FlowContext scoped;
-  const FlowReport job_report = flow::run_flow("gen:adder,bits=8", scoped);
-  ASSERT_TRUE(job_report.ok) << job_report.error;
-  ASSERT_NE(scoped.domain, nullptr);
-  EXPECT_EQ(job_report.stages[0].metrics_scope, "job");
-  EXPECT_NE(job_report.stages[0].to_json().find("\"metrics_scope\": \"job\""),
-            std::string::npos);
-
-  const flow::Flow gen = flow::Flow::parse("gen:adder,bits=8");
-  FlowContext plain;
-  const flow::StageReport stage =
-      flow::run_stage(plain, *gen.stages()[0].pass, gen.stages()[0].args);
-  ASSERT_TRUE(stage.ok) << stage.note;
-  EXPECT_EQ(plain.domain, nullptr);
-  EXPECT_EQ(stage.metrics_scope, "process");
-  EXPECT_NE(stage.to_json().find("\"metrics_scope\": \"process\""),
-            std::string::npos);
+TEST(FlowRun, EveryContextOwnsItsMetricDomain) {
+  // A context gets its metric domain when it is built, and run_flow keeps
+  // it: every stage's metrics are deltas of that one domain.
+  FlowContext ctx;
+  ASSERT_NE(ctx.domain, nullptr);
+  const obs::Domain* domain = ctx.domain.get();
+  const FlowReport report = flow::run_flow("gen:adder,bits=8", ctx);
+  ASSERT_TRUE(report.ok) << report.error;
+  EXPECT_EQ(ctx.domain.get(), domain);
 }
 
 #ifndef MCS_OBS_DISABLE  // counters are no-op stubs in the disabled build
+TEST(FlowRun, BareRunStageReportsOnlyItsOwnWork) {
+  // The shell runs every command through run_stage on a context that never
+  // ran a flow.  Its stage metrics must still be the stage's own work: a
+  // counter that a thread outside any domain bumps while the stage runs
+  // stays out of the report.
+  obs::Counter& outside = obs::counter("test.outside_work");
+  const Flow gen = Flow::parse("gen:adder,bits=8");
+  FlowContext ctx;
+  std::atomic<bool> stop{false};
+  std::thread bumper([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      outside.increment();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  fail::configure("flow.stage=delay,ms=50");  // a window the bumps land in
+  const std::uint64_t bumps_before = outside.value();
+  const flow::StageReport stage =
+      flow::run_stage(ctx, *gen.stages()[0].pass, gen.stages()[0].args);
+  const std::uint64_t bumps_after = outside.value();
+  fail::disable();
+  stop.store(true, std::memory_order_relaxed);
+  bumper.join();
+
+  ASSERT_TRUE(stage.ok) << stage.note;
+  EXPECT_GT(bumps_after, bumps_before);
+  EXPECT_FALSE(stage.metrics.counters.empty());  // gen's own work
+  for (const obs::MetricValue& mv : stage.metrics.counters) {
+    EXPECT_NE(mv.name, "test.outside_work");
+  }
+}
+
 TEST(FlowRun, MappingStagesCountTheirCutEnumerationPasses) {
   // One delay, two area-flow and two exact-area passes; the ASIC mapper
   // runs the same three kinds of pass.
@@ -507,6 +535,7 @@ TEST(FlowCancel, PreTrippedTokenStopsBeforeFirstStage) {
   ASSERT_EQ(report.stages.size(), 1u);
   EXPECT_FALSE(report.stages[0].ok);
   EXPECT_EQ(report.stages[0].pass, "gen");  // the stage that never ran
+  EXPECT_EQ(report.stages[0].args, "name=adder,bits=8");
   EXPECT_EQ(report.stages[0].note, "cancelled");
   EXPECT_EQ(report.error, "gen: cancelled");
 }
@@ -530,16 +559,24 @@ TEST(FlowCancel, OnStageHookSeesEveryStageIncludingSynthetic) {
     seen.emplace_back(r.pass, index);
     if (seen.size() == 2) ctx.cancel->request_cancel();
   };
-  const FlowReport report =
-      flow::run_flow("gen:adder,bits=8; strash; rewrite; balance", ctx);
+  const FlowReport report = flow::run_flow(
+      "gen:adder,bits=8; map_lut:k=4; rewrite:basis=aig; balance", ctx);
   EXPECT_FALSE(report.ok);
-  // gen and strash ran; rewrite became the synthetic cancelled stage (the
+  // gen and map_lut ran; rewrite became the synthetic cancelled stage (the
   // hook sees it like any other); balance never appeared.
   ASSERT_EQ(seen.size(), 3u);
   EXPECT_EQ(seen[0], (std::pair<std::string, std::size_t>{"gen", 0}));
-  EXPECT_EQ(seen[1], (std::pair<std::string, std::size_t>{"strash", 1}));
+  EXPECT_EQ(seen[1], (std::pair<std::string, std::size_t>{"map_lut", 1}));
   EXPECT_EQ(seen[2], (std::pair<std::string, std::size_t>{"rewrite", 2}));
-  EXPECT_EQ(report.stages.back().note, "cancelled");
+  ASSERT_EQ(report.stages.size(), 3u);
+  const flow::StageReport& stopped = report.stages.back();
+  EXPECT_EQ(stopped.note, "cancelled");
+  // A stopped report carries its stage's args and the mapping in place,
+  // like a report of a stage that ran.
+  EXPECT_EQ(stopped.args, "basis=aig");
+  EXPECT_GT(stopped.luts, 0u);
+  EXPECT_EQ(stopped.luts, report.stages[1].luts);
+  EXPECT_EQ(stopped.lut_depth, report.stages[1].lut_depth);
 }
 
 // --- stage JSON --------------------------------------------------------------

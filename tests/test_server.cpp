@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
@@ -380,6 +382,48 @@ TEST(JobServer, RejectsDuplicateInFlightIds) {
   EXPECT_EQ(server.counters().completed, 1u);
 }
 
+TEST(JobServer, DetachWaitsForASinkCallInProgress) {
+  // The client's owner frees what its sink writes to as soon as detach()
+  // returns, so detach must wait out a runner already inside the sink and
+  // let no later call start.  Declared before the server: the sink's state
+  // must outlive every runner.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool entered = false;
+  std::atomic<bool> left{false};
+  std::atomic<bool> detached{false};
+  std::atomic<int> calls_after_detach{0};
+  JobServer server(ServerOptions{.job_slots = 1});
+  const std::uint64_t client = server.attach([&](const std::string& line) {
+    if (detached.load()) calls_after_detach.fetch_add(1);
+    if (line.find("\"type\": \"stage\"") == std::string::npos) return;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (entered) return;
+      entered = true;
+    }
+    cv.notify_all();
+    std::this_thread::sleep_for(200ms);
+    left.store(true);
+  });
+  server.handle_line(client,
+                     submit("slow-sink", "gen:adder,bits=8; compress2rs"));
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(cv.wait_for(lock, 30s, [&] { return entered; }));
+  }
+  server.detach(client);
+  detached.store(true);
+  EXPECT_TRUE(left.load()) << "detach returned while the sink was running";
+
+  // The rest of the job runs unobserved: its later lines go nowhere.
+  for (int i = 0; i < 30000 && server.jobs_in_flight() != 0; ++i) {
+    std::this_thread::sleep_for(1ms);
+  }
+  EXPECT_EQ(server.jobs_in_flight(), 0u);
+  EXPECT_EQ(calls_after_detach.load(), 0);
+}
+
 // --- server: cancellation and timeouts --------------------------------------
 
 TEST(JobServer, CancelsRunningJobAtStageBoundary) {
@@ -622,27 +666,22 @@ TEST(JobServer, ConcurrentJobMetricsMatchSerialBitForBit) {
   // Interleaved batch: two of each flow, all four in flight at once.
   JobServer server(ServerOptions{.job_slots = 4});
   TestClient client(server);
+  const std::string a[] = {"a0", "a1"};
+  const std::string b[] = {"b0", "b1"};
   for (int i = 0; i < 2; ++i) {
-    client.send(submit("a" + std::to_string(i), flow_a));
-    client.send(submit("b" + std::to_string(i), flow_b));
+    client.send(submit(a[i], flow_a));
+    client.send(submit(b[i], flow_b));
   }
   for (int i = 0; i < 2; ++i) {
-    ASSERT_EQ(client.wait_outcome("a" + std::to_string(i)), "ok");
-    ASSERT_EQ(client.wait_outcome("b" + std::to_string(i)), "ok");
+    ASSERT_EQ(client.wait_outcome(a[i]), "ok");
+    ASSERT_EQ(client.wait_outcome(b[i]), "ok");
   }
   const std::vector<std::string> lines = client.lines();
   for (int i = 0; i < 2; ++i) {
-    EXPECT_EQ(stage_metric_blobs(lines, "a" + std::to_string(i)), ref_a)
-        << "job a" << i << "'s metric deltas diverged from the serial run";
-    EXPECT_EQ(stage_metric_blobs(lines, "b" + std::to_string(i)), ref_b)
-        << "job b" << i << "'s metric deltas diverged from the serial run";
-  }
-  // Every server stage declares the v2 semantics in-band.
-  for (const std::string& line : lines) {
-    const Json msg = Json::parse(line);
-    if (const Json* t = msg.find("type"); t && t->as_string() == "stage") {
-      EXPECT_NE(line.find("\"metrics_scope\": \"job\""), std::string::npos);
-    }
+    EXPECT_EQ(stage_metric_blobs(lines, a[i]), ref_a)
+        << "job " << a[i] << "'s metric deltas diverged from the serial run";
+    EXPECT_EQ(stage_metric_blobs(lines, b[i]), ref_b)
+        << "job " << b[i] << "'s metric deltas diverged from the serial run";
   }
 }
 

@@ -281,6 +281,10 @@ void serve_connection(mcs::server::JobServer& server, int fd,
   }
   // Disconnect cancels the client's jobs: nobody is listening for their
   // results, and freeing their slots is the multi-tenant-friendly choice.
+  // The shutdown makes a sink blocked on a peer that stopped reading
+  // return; detach then waits out any sink call still running, so the fd
+  // is closed (and may be reused) only once no sink can write to it.
+  shutdown(fd, SHUT_RDWR);
   server.detach(client, /*cancel_jobs=*/true);
   connections.remove(fd);
   close(fd);
