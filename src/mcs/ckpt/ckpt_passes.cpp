@@ -2,7 +2,7 @@
 /// \brief Flow registration for the checkpoint/rollback layer: the `ckpt`
 /// settings pass arms the transactional stage runner from flow specs and
 /// the shell (`ckpt:mode=retry,retries=2,validate=on,sim_words=8`), so a
-/// flow opts into snapshot/rollback/validation without any API plumbing.
+/// flow opts into rollback and validation without any API plumbing.
 
 #include <string>
 
@@ -18,15 +18,15 @@ namespace mcs::flow {
 void register_ckpt_passes(PassRegistry& registry) {
   registry.add({
       .name = "ckpt",
-      .summary = "arm transactional stage execution (snapshot/validate/"
-                 "rollback, mcs::ckpt)",
+      .summary = "arm transactional stage execution (validate/rollback, "
+                 "mcs::ckpt)",
       .kind = PassKind::kSetting,
       .params =
           {{.key = "mode",
             .type = ParamType::kString,
             .default_value = "retry",
-            .help = "failure policy after rollback: retry | skip | fail; "
-                    "off disables snapshotting and validation entirely"},
+            .help = "failure policy: retry | skip (both roll the stage "
+                    "back) | fail; off disables validation as well"},
            {.key = "retries",
             .type = ParamType::kInt,
             .default_value = "1",
@@ -54,7 +54,6 @@ void register_ckpt_passes(PassRegistry& registry) {
               return;
             }
             TxnPolicy txn;
-            txn.snapshot = true;
             if (mode == "retry") {
               txn.on_failure = TxnPolicy::OnFailure::kRetry;
             } else if (mode == "skip") {

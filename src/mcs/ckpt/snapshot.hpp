@@ -1,12 +1,11 @@
 /// \file snapshot.hpp
 /// \brief mcs::ckpt -- compact binary network snapshots.
 ///
-/// A snapshot is the durable unit of the checkpoint/rollback layer: with
-/// a `ckpt` policy armed, the stage runner (flow::run_stage) captures one
-/// before every mutating stage so a throwing, fault-injected or
-/// invariant-violating pass can be rolled back, and the job server
-/// persists one per completed stage so a kill -9'd worker's replacement
-/// resumes a flow at its last completed stage instead of stage 0.
+/// A snapshot is the durable unit of the checkpoint layer: the job server
+/// persists one after every completed stage that changes a job's network,
+/// so a kill -9'd worker's replacement resumes the flow after that stage
+/// instead of at stage 0.  (A stage rollback under a `ckpt` policy needs
+/// nothing durable: flow::run_stage keeps in-memory copies.)
 ///
 /// **Format** (version 1, little-endian, length-prefixed strings):
 ///

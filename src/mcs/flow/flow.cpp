@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "mcs/ckpt/snapshot.hpp"
 #include "mcs/common/json.hpp"
 #include "mcs/fail/fail.hpp"
 #include "mcs/flow/registration.hpp"
@@ -360,14 +359,6 @@ TxnMetrics& txn_metrics() {
   return m;
 }
 
-/// True for pass kinds that mutate the working network (the kinds the
-/// transactional runner snapshots, and whose PO functions the sim spot
-/// check must see preserved -- sources excepted, they replace the network).
-bool mutates_network(PassKind kind) {
-  return kind == PassKind::kSource || kind == PassKind::kTransform ||
-         kind == PassKind::kChoice;
-}
-
 /// PO signatures under ctx.txn.sim_words words of seeded random stimulus.
 /// Equality is a necessary condition of PO-function equality: signature()
 /// respects complement edges and the stimulus is a pure function of
@@ -507,40 +498,36 @@ StageReport attempt(FlowContext& ctx, const PassInfo& pass,
 
 StageReport run_stage(FlowContext& ctx, const PassInfo& pass,
                       const PassArgs& args) {
-  // Disabled (the default), or a stage with nothing to recover: one
-  // attempt, one branch.
-  const bool mutates = mutates_network(pass.kind);
-  if (!ctx.txn.snapshot || !(mutates || pass.kind == PassKind::kMapping)) {
+  // kFail (the default) rolls nothing back, and analysis, output and
+  // setting stages are not rolled back: one attempt, one branch.
+  if (ctx.txn.on_failure == TxnPolicy::OnFailure::kFail ||
+      !(changes_network(pass.kind) || pass.kind == PassKind::kMapping)) {
     return attempt(ctx, pass, args);
   }
 
-  // A mapping stage leaves the network alone and sets its artifact only
-  // on success, so it is re-run or skipped without a snapshot.
-  const std::vector<std::uint8_t> blob =
-      mutates ? ckpt::snapshot(ctx.net) : std::vector<std::uint8_t>{};
-  // A source stage overwrites the `cec`/`sim` reference network as well;
-  // sources are cheap enough that a plain copy beats a second blob here.
-  std::optional<Network> original_before;
-  if (pass.kind == PassKind::kSource) original_before = ctx.original;
+  // The state such a stage can change, kept by value.  A rewrite drops the
+  // mapped artifacts before its validation audit, so they are kept too.
+  const Network net = ctx.net;
+  const std::optional<Network> original = ctx.original;
+  const std::optional<LutNetwork> luts = ctx.luts;
+  const std::optional<CellNetlist> cells = ctx.cells;
 
   int attempts = 0;
   for (;;) {
     StageReport report = attempt(ctx, pass, args);
     if (report.ok) return report;
 
-    if (ctx.txn.on_failure == TxnPolicy::OnFailure::kFail) return report;
+    // Roll back: the pass may have torn the state arbitrarily before
+    // failing.
+    ctx.net = net;
+    ctx.original = original;
+    ctx.luts = luts;
+    ctx.cells = cells;
+    txn_metrics().rollbacks.increment();
 
-    // Roll back: the pass may have torn the working network arbitrarily
-    // before failing; the snapshot restores the exact pre-stage structure
-    // (ids, levels, choices and all -- see snapshot.hpp).
-    if (mutates) {
-      ctx.net = ckpt::restore(blob);
-      if (pass.kind == PassKind::kSource) ctx.original = original_before;
-      txn_metrics().rollbacks.increment();
-    }
-
-    if (ctx.txn.on_failure == TxnPolicy::OnFailure::kRetry &&
-        attempts < ctx.txn.max_retries) {
+    if (ctx.txn.on_failure == TxnPolicy::OnFailure::kRetry) {
+      // Out of budget, the last failed report stands and the flow stops.
+      if (attempts >= ctx.txn.max_retries) return report;
       ++attempts;
       txn_metrics().retries.increment();
       if (ctx.verbose) {
@@ -550,12 +537,8 @@ StageReport run_stage(FlowContext& ctx, const PassInfo& pass,
       continue;  // the failed attempt is already recorded
     }
 
-    // kSkip, or a kRetry budget exhausted under kSkip-free semantics: under
-    // kRetry the last failed report stands and the flow stops.
-    if (ctx.txn.on_failure == TxnPolicy::OnFailure::kRetry) return report;
-
     // kSkip: the stage is dropped, surfaced as a synthetic ok report (the
-    // rollback makes "dropped" true -- the network is as if it never ran).
+    // rollback makes "dropped" true -- the state is as if it never ran).
     txn_metrics().skips.increment();
     StageReport skipped;
     skipped.pass = pass.name;

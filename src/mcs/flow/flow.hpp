@@ -99,6 +99,15 @@ enum class PassKind {
   kSetting,    ///< mutates flow settings (threads, partsize, seed)
 };
 
+/// True for the kinds that change the working network: sources,
+/// transforms and choice builders.  run_stage rolls them back (with
+/// mappings) under a retry or skip policy, and the job server checkpoints
+/// a job only after them.
+inline bool changes_network(PassKind kind) {
+  return kind == PassKind::kSource || kind == PassKind::kTransform ||
+         kind == PassKind::kChoice;
+}
+
 struct FlowContext;
 struct PassInfo;
 
@@ -256,32 +265,24 @@ class CancelToken {
 
 // --- transactional stage execution ------------------------------------------
 
-/// Policy of the checkpoint/rollback layer (mcs::ckpt) woven into stage
-/// execution.  All-off by default: the disabled path costs one branch per
-/// stage (<2% on the mult64 reference flow -- see scripts/bench guard in
-/// tests).  Armed via the `ckpt` settings pass
-/// (`ckpt:mode=retry,retries=2,validate=on,sim_words=8`) or directly on
-/// FlowContext::txn.
+/// Policy of the rollback layer woven into stage execution.  All-off by
+/// default: the disabled path costs one branch per stage.  Armed via the
+/// `ckpt` settings pass (`ckpt:mode=retry,retries=2,validate=on,
+/// sim_words=8`) or directly on FlowContext::txn.
 struct TxnPolicy {
-  /// What to do after a stage throws, trips an injected fault or fails
-  /// validation, once the network is rolled back to the pre-stage
-  /// snapshot.
+  /// What to do after a stage that changes the network or a mapping
+  /// throws, trips an injected fault or fails validation.  Retry and skip
+  /// first roll the stage back: run_stage keeps a copy of the state such a
+  /// stage can change (network, reference network, LUT network, cell
+  /// netlist) and restores it.  kFail keeps no copy.
   enum class OnFailure {
     kFail,   ///< report the failed stage; the flow stops (default)
     kRetry,  ///< re-run the stage, up to max_retries times, then fail
     kSkip,   ///< skip the stage: synthetic ok report, the flow continues
   };
 
-  /// Snapshot the working network before every mutating stage (source /
-  /// transform / choice kinds) so it can be rolled back.  The on_failure
-  /// policies require it, and also apply to mapping stages, which leave
-  /// the network alone and need no snapshot.  validate/sim_words also work
-  /// standalone (a violation then simply fails the stage, with nothing to
-  /// roll back to).
-  bool snapshot = false;
-
   /// Run Network::check() after every stage; a violation fails the stage
-  /// (and rolls back like a throw when snapshotting is on).
+  /// (and rolls it back under retry or skip).
   bool validate = false;
 
   /// > 0: sim-signature equivalence spot check over transform/choice
@@ -392,14 +393,13 @@ struct FlowContext {
 /// snapshots stats, counts the report in ctx.report_count, invokes
 /// ctx.on_stage and prints a summary when ctx.verbose.
 ///
-/// With ctx.txn.snapshot on, a mutating pass (source/transform/choice
-/// kind) runs on a binary snapshot of the network: when the stage fails --
-/// a throw, an injected fault or a ctx.txn validation failure -- the
-/// pre-stage network is restored and ctx.txn.on_failure applies (budgeted
-/// retry / skip with a synthetic ok report / fail).  Mapping stages retry
-/// and skip the same way without a snapshot.  Every failed attempt is
-/// recorded and streamed like a normal stage; the returned report is the
-/// last one.
+/// Under a retry or skip ctx.txn.on_failure, a stage that changes the
+/// network or a mapping (changes_network() kinds and mappings) runs on a
+/// copy of ctx.net, ctx.original, ctx.luts and ctx.cells: when it fails --
+/// a throw, an injected fault or a ctx.txn validation failure -- all four
+/// are restored and the stage is retried (within budget) or skipped with
+/// a synthetic ok report.  Every failed attempt is recorded and streamed
+/// like a normal stage; the returned report is the last one.
 StageReport run_stage(FlowContext& ctx, const PassInfo& pass,
                       const PassArgs& args);
 

@@ -52,7 +52,8 @@ std::string check_subjects(
   };
   if (ctx.luts) check_mapped(lut_network_to_network(*ctx.luts), "LUT network");
   if (ctx.cells) {
-    check_mapped(cell_netlist_to_network(*ctx.cells), "cell netlist");
+    check_mapped(lut_network_to_network(ctx.cells->lut_network()),
+                 "cell netlist");
   }
   if (names.empty()) {
     check(ctx.net, "");

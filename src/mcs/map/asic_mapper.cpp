@@ -2,45 +2,39 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <map>
 #include <span>
 #include <unordered_map>
 
 #include "mcs/cut/enumeration.hpp"
-#include "mcs/map/lut_mapper.hpp"
+#include "mcs/map/covering.hpp"
 #include "mcs/network/network_utils.hpp"
 
 namespace mcs {
 
-std::vector<std::uint64_t> CellNetlist::simulate(
-    const std::vector<std::uint64_t>& pi_values) const {
-  assert(pi_values.size() == static_cast<std::size_t>(num_pis));
-  std::vector<std::uint64_t> value(num_pis + instances.size(), 0);
-  for (int i = 0; i < num_pis; ++i) value[i] = pi_values[i];
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const Instance& inst = instances[i];
-    const Cell& c = library->cell(inst.cell);
-    std::uint64_t out = 0;
-    for (int bit = 0; bit < 64; ++bit) {
-      unsigned idx = 0;
-      for (std::size_t k = 0; k < inst.fanins.size(); ++k) {
-        if ((value[inst.fanins[k]] >> bit) & 1ull) idx |= (1u << k);
-      }
-      if ((c.function >> idx) & 1ull) out |= (1ull << bit);
-    }
-    value[num_pis + i] = out;
+LutNetwork CellNetlist::lut_network() const {
+  LutNetwork lnet;
+  lnet.num_pis = num_pis;
+  for (const auto& inst : instances) {
+    lnet.luts.push_back({inst.fanins, library->cell(inst.cell).function});
   }
-  std::vector<std::uint64_t> pos;
-  pos.reserve(po_refs.size());
   for (std::size_t i = 0; i < po_refs.size(); ++i) {
     if (po_const[i]) {
-      pos.push_back(po_const_value[i] ? ~0ull : 0ull);
+      lnet.luts.push_back({});  // 0-input constant-0 LUT
+      lnet.po_refs.push_back(
+          static_cast<std::int32_t>(lnet.num_pis + lnet.luts.size() - 1));
+      lnet.po_compl.push_back(po_const_value[i]);
     } else {
-      pos.push_back(value[po_refs[i]]);
+      lnet.po_refs.push_back(po_refs[i]);
+      lnet.po_compl.push_back(false);
     }
   }
-  return pos;
+  return lnet;
+}
+
+std::vector<std::uint64_t> CellNetlist::simulate(
+    const std::vector<std::uint64_t>& pi_values) const {
+  return lut_network().simulate(pi_values);
 }
 
 std::vector<std::pair<std::string, int>> CellNetlist::cell_histogram() const {
@@ -49,35 +43,12 @@ std::vector<std::pair<std::string, int>> CellNetlist::cell_histogram() const {
   return {h.begin(), h.end()};
 }
 
-Network cell_netlist_to_network(const CellNetlist& cells) {
-  LutNetwork lnet;
-  lnet.num_pis = cells.num_pis;
-  for (const auto& inst : cells.instances) {
-    lnet.luts.push_back({inst.fanins, cells.library->cell(inst.cell).function});
-  }
-  for (std::size_t i = 0; i < cells.po_refs.size(); ++i) {
-    if (cells.po_const[i]) {
-      lnet.luts.push_back({});  // 0-input constant-0 LUT
-      lnet.po_refs.push_back(
-          static_cast<std::int32_t>(lnet.num_pis + lnet.luts.size() - 1));
-      lnet.po_compl.push_back(cells.po_const_value[i]);
-    } else {
-      lnet.po_refs.push_back(cells.po_refs[i]);
-      lnet.po_compl.push_back(false);
-    }
-  }
-  return lut_network_to_network(lnet);
-}
-
 namespace {
 
-constexpr float kInf = std::numeric_limits<float>::infinity();
+using namespace covering;
 
 /// Leaves per cut: library cells have at most 4 pins.
 constexpr int kCutSize = 4;
-
-/// Area-flow passes after the delay pass.
-constexpr int kAreaFlowRounds = 2;
 
 struct Match {
   int cell = -1;
@@ -114,76 +85,39 @@ class AsicMapper {
         order_(params.use_choices ? choice_topo_order(net)
                                   : topo_order(net)),
         enumerator_(net, {.cut_size = kCutSize,
-                          .use_choices = params.use_choices}) {
+                          .use_choices = params.use_choices}),
+        delay_target_(params.delay_relaxation) {
     assert(lib_.inverter() >= 0);
     inv_delay_ = static_cast<float>(lib_.cell(lib_.inverter()).pin_delays[0]);
     inv_area_ = static_cast<float>(lib_.cell(lib_.inverter()).area);
-    // Fanout estimates seeded from the PO-reachable original graph only.
-    // Candidate cones are mutually exclusive alternatives: counting their
-    // edges would make shared leaves look far cheaper than any single
-    // cover can realize.  Candidate-interior nodes start at 1 and the
-    // per-pass blending with real cover references adapts from there.
-    std::vector<std::uint32_t> local_fanout(net_.size(), 0);
-    for (const NodeId n : topo_order(net_)) {
-      const Node& nd = net_.node(n);
-      for (int i = 0; i < nd.num_fanins; ++i) {
-        ++local_fanout[nd.fanin[i].node()];
-      }
-    }
-    for (const Signal s : net_.pos()) ++local_fanout[s.node()];
-    for (NodeId n = 0; n < net_.size(); ++n) {
-      state_[n].est_refs =
-          std::max<float>(1.0f, static_cast<float>(local_fanout[n]));
-    }
+    const std::vector<float> estimates = initial_fanout_estimates(net_);
+    for (NodeId n = 0; n < net_.size(); ++n) state_[n].est_refs = estimates[n];
   }
 
   CellNetlist run(AsicMapStats* stats) {
-    // Passes are greedy; keep the best extraction across passes under the
-    // requested objective (recovery rounds usually help but may regress).
-    CellNetlist best;
-    AsicMapStats best_stats;
-    bool have_best = false;
-    auto harvest = [&]() {
-      AsicMapStats s;
-      CellNetlist candidate = extract(&s);
-      const auto key = [&](const CellNetlist& n) {
-        if (params_.objective == AsicMapParams::Objective::kDelay) {
-          // Minimize area among extractions inside the (possibly relaxed)
-          // delay budget; outside it, minimize the violation first.
-          const double excess =
-              target_delay_ >= 0.0f
-                  ? std::max(0.0, n.delay - double(target_delay_) - 1e-6)
-                  : 0.0;
-          return std::make_tuple(excess, n.area, n.delay);
-        }
-        return std::make_tuple(n.area, n.delay, 0.0);
-      };
-      if (!have_best || key(candidate) < key(best)) {
-        best = std::move(candidate);
-        best_stats = s;
-        have_best = true;
-      }
-    };
-    mapping_pass(Mode::kDelay);
-    compute_required();
-    harvest();
-    for (int i = 0; i < kAreaFlowRounds; ++i) {
-      mapping_pass(Mode::kAreaFlow);
-      compute_required();
-      harvest();
-    }
-    for (int i = 0; i < params_.exact_area_rounds; ++i) {
-      mapping_pass(Mode::kExactArea);
-      compute_required();
-      harvest();
-    }
-    if (stats) *stats = best_stats;
-    return best;
+    return run_schedule(
+        params_.exact_area_rounds, stats,
+        [&](Pass pass) {
+          mapping_pass(pass);
+          compute_required();
+        },
+        [&](AsicMapStats* s) { return extract(s); },
+        [&](const AsicMapStats& s) {
+          if (params_.objective == AsicMapParams::Objective::kDelay) {
+            // Minimize area among extractions inside the (possibly relaxed)
+            // delay budget; outside it, minimize the violation first.
+            const float frozen = delay_target_.frozen();
+            const double excess =
+                frozen >= 0.0f
+                    ? std::max(0.0, s.delay - double(frozen) - 1e-6)
+                    : 0.0;
+            return std::make_tuple(excess, s.area, s.delay);
+          }
+          return std::make_tuple(s.area, s.delay, 0.0);
+        });
   }
 
  private:
-  enum class Mode { kDelay, kAreaFlow, kExactArea };
-
   /// \name Reference-counted exact area over the live (node, phase) cover.
   /// @{
   float area_ref(NodeId n, bool ph) {
@@ -348,55 +282,35 @@ class AsicMapper {
     }
   }
 
-  void consider_match(NodeId n, Mode mode, const Cut& cut) {
+  void consider_match(NodeId n, Pass pass, const Cut& cut) {
     for_each_match(cut, [&](const Match& match, bool out_ph) {
-      if (mode == Mode::kExactArea) {
+      if (pass == Pass::kExactArea) {
         Match exact = match;
         exact.area_flow = match_exact_area(exact, n, out_ph);
-        update_best(state_[n].ph[out_ph], exact, mode);
+        update_best(state_[n].ph[out_ph], exact, pass);
       } else {
-        update_best(state_[n].ph[out_ph], match, mode);
+        update_best(state_[n].ph[out_ph], match, pass);
       }
     });
   }
 
-  void update_best(PhaseState& ps, const Match& match, Mode mode) {
-    if (!ps.best.valid()) {
-      ps.best = match;
-      ps.arrival = match.arrival;
-      ps.area_flow = match.area_flow;
-      return;
-    }
-    bool better;
-    if (mode == Mode::kDelay &&
-        params_.objective == AsicMapParams::Objective::kDelay) {
-      better = std::make_pair(match.arrival, match.area_flow) <
-               std::make_pair(ps.arrival, ps.area_flow);
-    } else {
-      // Area-first, but do not violate the phase's required time.  When
-      // nothing is feasible, race back toward feasibility (arrival first):
-      // comparing area there lets slack violations snowball across passes.
-      const float req = ps.required;
-      const bool m_ok = match.arrival <= req;
-      const bool b_ok = ps.arrival <= req;
-      if (m_ok != b_ok) {
-        better = m_ok;
-      } else if (!m_ok) {
-        better = std::make_pair(match.arrival, match.area_flow) <
-                 std::make_pair(ps.arrival, ps.area_flow);
-      } else {
-        better = std::make_pair(match.area_flow, match.arrival) <
-                 std::make_pair(ps.area_flow, ps.arrival);
-      }
-    }
-    if (better) {
+  /// Makes \p match the phase's best when it ranks before the current one
+  /// (delay first in the first pass under the delay objective, else area
+  /// first under the phase's required time).
+  void update_best(PhaseState& ps, const Match& match, Pass pass) {
+    const CostOrder order{
+        pass == Pass::kFirst &&
+            params_.objective == AsicMapParams::Objective::kDelay,
+        ps.required};
+    if (!ps.best.valid() || order.better(match.arrival, match.area_flow,
+                                         ps.arrival, ps.area_flow)) {
       ps.best = match;
       ps.arrival = match.arrival;
       ps.area_flow = match.area_flow;
     }
   }
 
-  void inverter_closure(NodeId n, Mode mode) {
+  void inverter_closure(NodeId n, Pass pass) {
     auto& st = state_[n];
     for (int dir = 0; dir < 2; ++dir) {
       for (int ph = 0; ph < 2; ++ph) {
@@ -405,23 +319,23 @@ class AsicMapper {
         Match inv;
         inv.from_inverter = true;
         inv.arrival = other.arrival + inv_delay_;
-        inv.area_flow = mode == Mode::kExactArea
+        inv.area_flow = pass == Pass::kExactArea
                             ? match_exact_area(inv, n, ph != 0)
                             : other.area_flow + inv_area_;
-        update_best(st.ph[ph], inv, mode);
+        update_best(st.ph[ph], inv, pass);
       }
     }
   }
 
-  void mapping_pass(Mode mode) {
+  void mapping_pass(Pass pass) {
     obs::Span span("cut:enum");
     // Persistent enumerator: reset() keeps the cut arena across passes.
     enumerator_.reset(order_.size());
     // Priority cuts: rank every cut by the cost of its best library match,
     // so cheap-to-realize structures survive the per-node cut cap even when
-    // choice merging floods the set.
-    const bool delay_priority =
-        params_.objective == AsicMapParams::Objective::kDelay;
+    // choice merging floods the set.  Cuts rank without required times.
+    const CostOrder cut_order{params_.objective ==
+                              AsicMapParams::Objective::kDelay};
     auto annotate = [&](NodeId n, Cut& c) {
       c.delay = 0.0f;
       c.area_flow = 0.0f;
@@ -429,35 +343,19 @@ class AsicMapper {
       c.delay = kInf;
       c.area_flow = kInf;
       for_each_match(c, [&](const Match& match, bool /*out_ph*/) {
-        const bool better =
-            delay_priority
-                ? std::make_pair(match.arrival, match.area_flow) <
-                      std::make_pair(c.delay, c.area_flow)
-                : std::make_pair(match.area_flow, match.arrival) <
-                      std::make_pair(c.area_flow, c.delay);
-        if (better) {
+        if (cut_order.better(match.arrival, match.area_flow, c.delay,
+                             c.area_flow)) {
           c.delay = match.arrival;
           c.area_flow = match.area_flow;
         }
       });
     };
-    auto cut_better = [&](const Cut& a, const Cut& b) {
-      if (a.is_trivial() != b.is_trivial()) return b.is_trivial();
-      if (delay_priority) {
-        if (a.delay != b.delay) return a.delay < b.delay;
-        if (a.area_flow != b.area_flow) return a.area_flow < b.area_flow;
-      } else {
-        if (a.area_flow != b.area_flow) return a.area_flow < b.area_flow;
-        if (a.delay != b.delay) return a.delay < b.delay;
-      }
-      return a.size < b.size;
-    };
 
-    const bool exact = mode == Mode::kExactArea;
+    const bool exact = pass == Pass::kExactArea;
     for (std::size_t i = 0; i < order_.size(); ++i) {
       const NodeId n = order_[i];
       if (!net_.is_gate(n)) {
-        enumerator_.run_slot(i, n, annotate, cut_better);
+        enumerator_.run_slot(i, n, annotate, cut_order);
         init_source(n);
         continue;
       }
@@ -487,12 +385,12 @@ class AsicMapper {
       st.ph[0].arrival = st.ph[1].arrival = kInf;
       st.ph[0].area_flow = st.ph[1].area_flow = kInf;
 
-      enumerator_.run_slot(i, n, annotate, cut_better);
+      enumerator_.run_slot(i, n, annotate, cut_order);
       for (const Cut& cut : enumerator_.cuts(n)) {
         if (cut.is_trivial()) continue;
-        consider_match(n, mode, cut);
+        consider_match(n, pass, cut);
       }
-      inverter_closure(n, mode);
+      inverter_closure(n, pass);
       assert((st.ph[0].best.valid() || st.ph[1].best.valid()) &&
              "library cannot realize a node: missing base cells");
       assert(st.ph[0].best.valid() && st.ph[1].best.valid());
@@ -545,32 +443,22 @@ class AsicMapper {
         }
       }
       for (NodeId n = 0; n < state_.size(); ++n) {
-        const float total = static_cast<float>(refs[n][0] + refs[n][1]);
         state_[n].est_refs =
-            std::max(1.0f, (state_[n].est_refs + 2.0f * total) / 3.0f);
+            blend_fanout(state_[n].est_refs, refs[n][0] + refs[n][1]);
         // Seed the live-cover counters used by exact-area passes.
         state_[n].ph[0].map_refs = refs[n][0];
         state_[n].ph[1].map_refs = refs[n][1];
       }
     }
-    float target = 0.0f;
+    // Under the delay objective the first pass freezes the target; the
+    // relaxation trades a bounded delay slack for area.
+    float target = kInf;
     if (params_.objective == AsicMapParams::Objective::kDelay) {
+      float depth = 0.0f;
       for (const Signal s : net_.pos()) {
-        target = std::max(target,
-                          state_[s.node()].ph[s.complemented()].arrival);
+        depth = std::max(depth, state_[s.node()].ph[s.complemented()].arrival);
       }
-      // Freeze the delay target at the first (delay-optimal) pass so later
-      // area-recovery passes cannot ratchet the budget upward; an optional
-      // relaxation factor trades a bounded delay slack for area.
-      if (target_delay_ < 0.0f) {
-        target_delay_ =
-            target * (1.0f + static_cast<float>(params_.delay_relaxation));
-      }
-      target = std::min(target * (1.0f + static_cast<float>(
-                                             params_.delay_relaxation)),
-                        target_delay_);
-    } else {
-      target = kInf;
+      target = delay_target_(depth);
     }
     for (const Signal s : net_.pos()) {
       auto& ps = state_[s.node()].ph[s.complemented()];
@@ -736,7 +624,7 @@ class AsicMapper {
   CutEnumerator enumerator_;
   float inv_delay_ = 0.0f;
   float inv_area_ = 0.0f;
-  float target_delay_ = -1.0f;  ///< frozen after the first delay pass
+  DelayTarget delay_target_;
   /// matches_of() results: (support size, function) -> [begin, end) of
   /// match_pool_, one flat pool instead of a list per function.
   std::unordered_map<std::uint32_t, std::pair<std::size_t, std::size_t>>

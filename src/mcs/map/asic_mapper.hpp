@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "mcs/map/lut_mapper.hpp"
 #include "mcs/map/techlib.hpp"
 #include "mcs/network/network.hpp"
 
@@ -52,7 +53,13 @@ struct CellNetlist {
 
   std::size_t size() const noexcept { return instances.size(); }
 
-  /// Word-parallel evaluation (for verification).
+  /// This netlist as a LUT network: instance i becomes LUT i over the same
+  /// fanins with its cell's function, and a constant PO reads a 0-input
+  /// LUT.  simulate() evaluates it, and `cec` and `sim` rebuild it with
+  /// lut_network_to_network().
+  LutNetwork lut_network() const;
+
+  /// Word-parallel evaluation (for verification), through lut_network().
   std::vector<std::uint64_t> simulate(
       const std::vector<std::uint64_t>& pi_values) const;
 
@@ -77,10 +84,5 @@ struct AsicMapStats {
 CellNetlist asic_map(const Network& net, const TechLibrary& lib,
                      const AsicMapParams& params = {},
                      AsicMapStats* stats = nullptr);
-
-/// Rebuilds a cell netlist as a mixed network, the way
-/// lut_network_to_network() does for LUTs: every instance becomes a LUT
-/// over its fanins with its cell's function.  Used for verification.
-Network cell_netlist_to_network(const CellNetlist& cells);
 
 }  // namespace mcs

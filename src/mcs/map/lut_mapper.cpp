@@ -4,11 +4,11 @@
 #include <atomic>
 #include <cassert>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 
 #include "mcs/cut/enumeration.hpp"
+#include "mcs/map/covering.hpp"
 #include "mcs/network/network_utils.hpp"
 #include "mcs/par/thread_pool.hpp"
 #include "mcs/resyn/strategies.hpp"
@@ -58,10 +58,7 @@ std::vector<std::uint64_t> LutNetwork::simulate(
 
 namespace {
 
-constexpr float kInf = std::numeric_limits<float>::infinity();
-
-/// Area-flow passes after the delay pass.
-constexpr int kAreaFlowRounds = 2;
+using namespace covering;
 
 /// Per-node mapping state across passes.
 struct NodeState {
@@ -72,36 +69,6 @@ struct NodeState {
   std::uint32_t map_refs = 0;  ///< references in the current cover
   float est_refs = 1.0f;       ///< smoothed fanout estimate for area flow
   bool has_cut = false;
-};
-
-/// Cut ranking of one node under a pass's costs.
-struct CutOrder {
-  bool delay_first;  ///< delay, then area flow (first pass, delay objective)
-  float required;    ///< the node's required time (area-first ranking)
-
-  bool operator()(const Cut& a, const Cut& b) const noexcept {
-    // Trivial cuts always rank last: they cannot implement the node.
-    if (a.is_trivial() != b.is_trivial()) return b.is_trivial();
-    if (delay_first) {
-      if (a.delay != b.delay) return a.delay < b.delay;
-      if (a.area_flow != b.area_flow) return a.area_flow < b.area_flow;
-    } else {
-      // Area first, but never violate this node's required time.  When
-      // neither cut is feasible, race back toward feasibility (delay
-      // first) so slack violations cannot snowball across passes.
-      const bool a_ok = a.delay <= required;
-      const bool b_ok = b.delay <= required;
-      if (a_ok != b_ok) return a_ok;
-      if (!a_ok) {
-        if (a.delay != b.delay) return a.delay < b.delay;
-        if (a.area_flow != b.area_flow) return a.area_flow < b.area_flow;
-      } else {
-        if (a.area_flow != b.area_flow) return a.area_flow < b.area_flow;
-        if (a.delay != b.delay) return a.delay < b.delay;
-      }
-    }
-    return a.size < b.size;
-  }
 };
 
 /// \p order stably sorted by dependency depth: nodes of one depth never
@@ -148,65 +115,29 @@ class LutMapper {
     for (std::size_t p = 0; p < participants; ++p) {
       workers_.emplace_back(enumerator_);
     }
-    // Fanout estimates seeded from the PO-reachable original graph only:
-    // choice cones are mutually exclusive alternatives and counting their
-    // edges would fake sharing no single cover can realize.
-    std::vector<std::uint32_t> local_fanout(net_.size(), 0);
-    for (const NodeId n : topo_order(net)) {
-      const Node& nd = net_.node(n);
-      for (int i = 0; i < nd.num_fanins; ++i) {
-        ++local_fanout[nd.fanin[i].node()];
-      }
-    }
-    for (const Signal s : net_.pos()) ++local_fanout[s.node()];
-    for (NodeId n = 0; n < net_.size(); ++n) {
-      state_[n].est_refs =
-          std::max<float>(1.0f, static_cast<float>(local_fanout[n]));
-    }
+    const std::vector<float> estimates = initial_fanout_estimates(net_);
+    for (NodeId n = 0; n < net_.size(); ++n) state_[n].est_refs = estimates[n];
   }
 
   LutNetwork run(LutMapStats* stats) {
-    // Passes are greedy; the best extraction seen across all passes is
-    // returned (later recovery rounds usually help but may regress).
-    LutNetwork best;
-    LutMapStats best_stats;
-    bool have_best = false;
-    auto harvest = [&]() {
-      LutMapStats s;
-      LutNetwork candidate = extract(&s);
-      const auto key = [&](const LutNetwork& l, std::uint32_t depth) {
-        return params_.objective == LutMapParams::Objective::kDelay
-                   ? std::make_pair(static_cast<std::size_t>(depth), l.size())
-                   : std::make_pair(l.size(),
-                                    static_cast<std::size_t>(depth));
-      };
-      if (!have_best ||
-          key(candidate, candidate.depth()) < key(best, best.depth())) {
-        best = std::move(candidate);
-        best_stats = s;
-        have_best = true;
-      }
-    };
-
-    // Pass 1: depth-oriented (also initializes area flow).
-    flow_pass(/*delay_first=*/params_.objective ==
-              LutMapParams::Objective::kDelay);
-    compute_cover_and_required();
-    harvest();
-    // Area-flow recovery.
-    for (int i = 0; i < kAreaFlowRounds; ++i) {
-      flow_pass(/*delay_first=*/false);
-      compute_cover_and_required();
-      harvest();
-    }
-    // Exact-area recovery.
-    for (int i = 0; i < params_.exact_area_rounds; ++i) {
-      exact_area_pass();
-      compute_cover_and_required();
-      harvest();
-    }
-    if (stats) *stats = best_stats;
-    return best;
+    return run_schedule(
+        params_.exact_area_rounds, stats,
+        [&](Pass pass) {
+          if (pass == Pass::kExactArea) {
+            exact_area_pass();
+          } else {
+            flow_pass(pass == Pass::kFirst &&
+                      params_.objective == LutMapParams::Objective::kDelay);
+          }
+          compute_cover_and_required();
+        },
+        [&](LutMapStats* s) { return extract(s); },
+        [&](const LutMapStats& s) {
+          const std::size_t depth = s.depth;
+          return params_.objective == LutMapParams::Objective::kDelay
+                     ? std::make_pair(depth, s.num_luts)
+                     : std::make_pair(s.num_luts, depth);
+        });
   }
 
  private:
@@ -332,7 +263,7 @@ class LutMapper {
             // LUT costs derive from leaf arrivals/areas only, so the
             // enumerator may defer truth-table derivation past admission.
             enumerator_.run_slot(worker, i, n, LeafOnlyAnnotate{annotate},
-                                 CutOrder{delay_first, state_[n].required});
+                                 CostOrder{delay_first, state_[n].required});
             take_best(n);
             publish(n, kDone);
           }
@@ -420,7 +351,7 @@ class LutMapper {
         for (int i = 0; i < c.size; ++i) area_deref(c.leaves[i]);
       }
       enumerator_.run_slot(pos, n, LeafOnlyAnnotate{annotate},
-                           CutOrder{false, st.required});
+                           CostOrder{false, st.required});
       take_best(n);
       if (in_cover) {
         const Cut& c = st.best;
@@ -457,25 +388,19 @@ class LutMapper {
       }
     }
 
-    // Blend real cover references into the fanout estimates (dangling
-    // choice cones inflate raw fanout counts).
     for (auto& st : state_) {
-      st.est_refs = std::max(
-          1.0f, (st.est_refs + 2.0f * static_cast<float>(st.map_refs)) / 3.0f);
+      st.est_refs = blend_fanout(st.est_refs, st.map_refs);
     }
 
-    // Required times.  For the delay objective the target is frozen at the
-    // first (delay-optimal) pass so recovery passes cannot ratchet it.
-    float target;
+    // Required times, under the delay objective from the target the first
+    // pass froze.
+    float target = kInf;
     if (params_.objective == LutMapParams::Objective::kDelay) {
       float depth = 0.0f;
       for (const Signal s : net_.pos()) {
         depth = std::max(depth, state_[s.node()].arrival);
       }
-      if (target_delay_ < 0.0f) target_delay_ = depth;
-      target = std::min(depth, target_delay_);
-    } else {
-      target = kInf;
+      target = delay_target_(depth);
     }
     for (const Signal s : net_.pos()) {
       auto& st = state_[s.node()];
@@ -582,7 +507,7 @@ class LutMapper {
   CutEnumerator enumerator_;
   std::vector<CutEnumerator::Worker> workers_;  ///< one per participant
   std::unique_ptr<std::atomic<std::uint32_t>[]> flags_;  ///< per node
-  float target_delay_ = -1.0f;  ///< frozen after the first delay pass
+  DelayTarget delay_target_;
 };
 
 }  // namespace

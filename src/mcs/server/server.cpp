@@ -142,26 +142,35 @@ void JobServer::recover_from_journal() {
   replaying_ = false;
 }
 
-/// Patches a just-replayed job so it resumes at its last checkpointed
-/// stage instead of stage 0.  Runs in the constructor, before any runner
-/// exists, so the job's state is free to patch without races.  Every
-/// failure (missing/corrupt snapshot, invariant-audit reject) degrades to
-/// a warning and a from-scratch replay -- a checkpoint is an
+/// Patches a just-replayed job so it resumes after its last checkpointed
+/// stage instead of at stage 0.  Runs in the constructor, before any
+/// runner exists, so the job's state is free to patch without races.
+/// Every failure (missing/corrupt snapshot, invariant-audit reject)
+/// degrades to a warning and a from-scratch replay -- a checkpoint is an
 /// optimization, never a correctness dependency.
 void JobServer::resume_job_from_checkpoint(const PendingJob& pending) {
   if (!options_.stage_checkpoints || pending.ckpt_index < 0) return;
   const auto it = jobs_.find(std::make_pair(std::uint64_t{0}, pending.id));
   if (it == jobs_.end()) return;  // replay itself was rejected
   const std::shared_ptr<Job>& job = it->second;
-  const std::size_t resume_at = static_cast<std::size_t>(pending.ckpt_index) + 1;
-  if (resume_at > job->flow.stages().size()) {
+  const std::vector<flow::Flow::Stage>& stages = job->flow.stages();
+  const std::size_t ckpt_index = static_cast<std::size_t>(pending.ckpt_index);
+  if (ckpt_index >= stages.size()) {
     std::fprintf(stderr,
                  "mcs_server: job %s checkpoint index %td exceeds its flow "
                  "(%zu stages); replaying from scratch\n",
-                 pending.id.c_str(), pending.ckpt_index,
-                 job->flow.stages().size());
+                 pending.id.c_str(), pending.ckpt_index, stages.size());
     return;
   }
+  // The snapshot holds the network of the last network-changing stage at
+  // or before the checkpoint; the job resumes after that stage, so every
+  // mapping or check after it runs again.  Without one, it is a plain
+  // retry from stage 0.
+  std::size_t resume_at = 0;
+  for (std::size_t i = 0; i <= ckpt_index; ++i) {
+    if (flow::changes_network(stages[i].pass->kind)) resume_at = i + 1;
+  }
+  if (resume_at == 0) return;
   const std::string snap =
       ckpt_path(pending.id, stage_suffix(pending.ckpt_index).c_str());
   try {
@@ -171,13 +180,23 @@ void JobServer::resume_job_from_checkpoint(const PendingJob& pending) {
       throw ckpt::SnapshotError("restored network fails invariant audit: " +
                                 why);
     }
+    std::optional<Network> original;
     const std::string orig = ckpt_path(pending.id, ".orig.snap");
     if (::access(orig.c_str(), R_OK) == 0) {
-      Network original = ckpt::read_snapshot_file(orig);
-      if (!original.check(&why)) {
+      original = ckpt::read_snapshot_file(orig);
+      if (!original->check(&why)) {
         throw ckpt::SnapshotError("restored original fails invariant audit: " +
                                   why);
       }
+    }
+    // The settings before the resume point, re-applied without a report.
+    for (std::size_t i = 0; i < resume_at; ++i) {
+      if (stages[i].pass->kind == flow::PassKind::kSetting) {
+        stages[i].pass->run(job->ctx, stages[i].args);
+      }
+    }
+    job->ctx.note.clear();
+    if (original) {
       job->ctx.original = std::move(original);
       job->orig_ckpt_written = true;
     }
@@ -197,7 +216,7 @@ void JobServer::resume_job_from_checkpoint(const PendingJob& pending) {
     ++counters_.resumed;
     metrics().jobs_resumed.increment();
     std::fprintf(stderr, "mcs_server: job %s resumes at stage %zu/%zu\n",
-                 pending.id.c_str(), resume_at, job->flow.stages().size());
+                 pending.id.c_str(), resume_at, stages.size());
   } catch (const std::exception& e) {
     std::fprintf(stderr,
                  "mcs_server: job %s checkpoint unusable (%s); replaying "
@@ -699,7 +718,11 @@ void JobServer::runner_loop(std::size_t /*index*/) {
       e.job = job->id;
       e.index = job->next_stage - 1;
       journal_.append(e);
-      write_stage_checkpoint(job, job->next_stage - 1);
+      // Only a stage that changed the network has a new one to save; a
+      // resume re-runs the stages after it.
+      if (flow::changes_network(stage.pass->kind)) {
+        write_stage_checkpoint(job, job->next_stage - 1);
+      }
       maybe_compact_journal();
     }
 

@@ -56,9 +56,11 @@
 /// replays accepted-but-unfinished jobs (done lines marked "retried") and
 /// answers "attach" requests for completed ones from the retained done
 /// cache.  With stage_checkpoints on, each journaled job additionally
-/// snapshots its network (mcs::ckpt) at every completed stage, so the
-/// replay *resumes* at the last checkpointed stage instead of re-running
-/// the flow from scratch -- the done line then carries "resumed_stage".
+/// snapshots its network (mcs::ckpt) after every completed stage that
+/// changes it (flow::changes_network), so the replay *resumes* after the
+/// last checkpointed stage -- re-applying the settings stages before it --
+/// instead of re-running the flow from scratch; the done line then
+/// carries "resumed_stage".
 /// The journal itself auto-compacts past journal_max_bytes, rewriting to
 /// the live state (in-flight accepts + latest checkpoints + done cache)
 /// so a long-lived daemon's journal stays bounded.  Degradation guards (max inline-input bytes, per-client job
@@ -156,10 +158,10 @@ struct ServerOptions {
   /// also the journal's compaction budget (Journal::analyze keep_done).
   std::size_t done_cache = 256;
 
-  /// Write a network snapshot (mcs::ckpt) at every completed stage of a
-  /// journaled job, so a crashed worker's replacement resumes the job at
-  /// the last checkpointed stage instead of stage 0.  Only active when
-  /// journal_path is set.
+  /// Write a network snapshot (mcs::ckpt) after every completed stage of a
+  /// journaled job that changes its network, so a crashed worker's
+  /// replacement resumes the job after the last checkpointed stage instead
+  /// of at stage 0.  Only active when journal_path is set.
   bool stage_checkpoints = true;
 
   /// Directory of the per-job stage checkpoint files; "" derives
@@ -283,9 +285,10 @@ class JobServer {
   /// Journal recovery (constructor, before runners start): compact the
   /// old journal, seed the done cache, re-queue unfinished jobs.
   void recover_from_journal();
-  /// Recovery detail: fast-forwards a replayed job to its last stage
-  /// checkpoint (restore snapshot, audit it, bump next_stage); any
-  /// failure falls back to a from-scratch replay.
+  /// Recovery detail: fast-forwards a replayed job past its last stage
+  /// checkpoint (restore snapshot, audit it, re-apply the settings before
+  /// it, bump next_stage); any failure falls back to a from-scratch
+  /// replay.
   void resume_job_from_checkpoint(const PendingJob& pending);
   bool cancel_job_locked(const std::shared_ptr<Job>& job,
                          std::unique_lock<std::mutex>& lock);
@@ -301,10 +304,10 @@ class JobServer {
   // --- stage checkpoints (mcs::ckpt) ---------------------------------------
   /// Path of a job's stage snapshot ("<ckpt_dir>/<sanitized id><suffix>").
   std::string ckpt_path(const std::string& job_id, const char* suffix) const;
-  /// Snapshots job state after a completed stage: the working network
-  /// (and, once, the sim-reference original) to disk, then a "stage_ckpt"
-  /// journal entry.  Failures degrade to a warning -- the job still has
-  /// its stage entries and replays from stage 0.
+  /// Snapshots job state after a completed network-changing stage: the
+  /// working network (and, once, the sim-reference original) to disk,
+  /// then a "stage_ckpt" journal entry.  Failures degrade to a warning --
+  /// the job still has its stage entries and replays from stage 0.
   void write_stage_checkpoint(const std::shared_ptr<Job>& job,
                               std::size_t completed_stage);
   /// Deletes a finished job's checkpoint files (best effort).

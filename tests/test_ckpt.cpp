@@ -258,7 +258,6 @@ TEST_F(TxnTest, RetryCompletesBitIdenticalToUninjectedRun) {
   flow::FlowContext injected;
   std::vector<flow::StageReport> injected_reports;
   collect_reports(injected, injected_reports);
-  injected.txn.snapshot = true;
   injected.txn.on_failure = flow::TxnPolicy::OnFailure::kRetry;
   injected.txn.max_retries = 1;
   const flow::FlowReport report = flow::run_flow(spec, injected);
@@ -288,7 +287,6 @@ TEST_F(TxnTest, RetryBudgetExhaustedFailsTheStage) {
   flow::FlowContext ctx;
   std::vector<flow::StageReport> reports;
   collect_reports(ctx, reports);
-  ctx.txn.snapshot = true;
   ctx.txn.on_failure = flow::TxnPolicy::OnFailure::kRetry;
   ctx.txn.max_retries = 2;
   const flow::FlowReport report =
@@ -310,7 +308,6 @@ TEST_F(TxnTest, SkipDropsTheStageAndTheFlowContinues) {
   flow::FlowContext ctx;
   std::vector<flow::StageReport> reports;
   collect_reports(ctx, reports);
-  ctx.txn.snapshot = true;
   ctx.txn.on_failure = flow::TxnPolicy::OnFailure::kSkip;
   const flow::FlowReport report =
       flow::run_flow("gen:adder,bits=8; rewrite; balance", ctx);
@@ -346,7 +343,6 @@ TEST_F(TxnTest, FailPolicyStopsImmediatelyWithoutRollback) {
       obs::counter("ckpt.rollbacks").value();
   fail::configure("flow.stage=throw,after=1,count=1");
   flow::FlowContext ctx;
-  ctx.txn.snapshot = true;
   ctx.txn.on_failure = flow::TxnPolicy::OnFailure::kFail;
   const flow::FlowReport report =
       flow::run_flow("gen:adder,bits=8; rewrite", ctx);
@@ -361,7 +357,6 @@ TEST_F(TxnTest, ValidationFaultSiteTriggersRollback) {
       obs::counter("ckpt.rollbacks").value();
   fail::configure("flow.validate=throw,after=1,count=1");
   flow::FlowContext ctx;
-  ctx.txn.snapshot = true;
   ctx.txn.validate = true;
   ctx.txn.on_failure = flow::TxnPolicy::OnFailure::kRetry;
   const flow::FlowReport report =
@@ -373,9 +368,34 @@ TEST_F(TxnTest, ValidationFaultSiteTriggersRollback) {
 #endif
 }
 
+TEST_F(TxnTest, SkippedRewriteKeepsTheMappingItDropped) {
+  // A rewrite drops the LUT mapping before its validation audit; when the
+  // audit fails and the stage is skipped, the rollback must bring the
+  // mapping back, so `cec` still checks it.
+  flow::FlowContext ctx;
+  ASSERT_TRUE(flow::run_flow("ckpt:mode=skip,validate=true; "
+                             "gen:adder,bits=8; map_lut:k=4",
+                             ctx)
+                  .ok);
+  ASSERT_TRUE(ctx.luts.has_value());
+  EXPECT_EQ(ctx.luts->size(), 15u);
+  const LutNetwork mapped = *ctx.luts;
+
+  fail::configure("flow.validate=throw,count=1");
+  const flow::FlowReport report = flow::run_flow("rewrite; cec", ctx);
+  fail::disable();
+  ASSERT_TRUE(report.ok) << report.error;
+  ASSERT_EQ(report.stages.size(), 2u);
+  EXPECT_EQ(report.stages[0].note.rfind("skipped after rollback:", 0), 0u)
+      << report.stages[0].note;
+  ASSERT_TRUE(ctx.luts.has_value());
+  EXPECT_EQ(*ctx.luts, mapped);
+  EXPECT_EQ(report.stages[1].luts, 15u);
+  EXPECT_EQ(report.stages[1].note, "equivalent (LUT network)");
+}
+
 TEST_F(TxnTest, SimSignatureSpotCheckPassesHonestTransforms) {
   flow::FlowContext ctx;
-  ctx.txn.snapshot = true;
   ctx.txn.sim_words = 8;
   const flow::FlowReport report =
       flow::run_flow("gen:adder,bits=16; rewrite; balance", ctx);
@@ -388,14 +408,14 @@ TEST_F(TxnTest, CkptPassArmsThePolicyFromAFlowSpec) {
       "ckpt:mode=skip,retries=3,validate=true,sim_words=4; gen:adder,bits=8",
       ctx);
   ASSERT_TRUE(report.ok) << report.error;
-  EXPECT_TRUE(ctx.txn.snapshot);
   EXPECT_TRUE(ctx.txn.validate);
   EXPECT_EQ(ctx.txn.on_failure, flow::TxnPolicy::OnFailure::kSkip);
   EXPECT_EQ(ctx.txn.max_retries, 3);
   EXPECT_EQ(ctx.txn.sim_words, 4);
 
   ASSERT_TRUE(flow::run_flow("ckpt:mode=off", ctx).ok);
-  EXPECT_FALSE(ctx.txn.snapshot);
+  EXPECT_EQ(ctx.txn.on_failure, flow::TxnPolicy::OnFailure::kFail);
+  EXPECT_FALSE(ctx.txn.validate);
 
   EXPECT_FALSE(flow::run_flow("ckpt:mode=sometimes", ctx).ok);
 }

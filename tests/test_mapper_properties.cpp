@@ -1,13 +1,16 @@
 /// Property-style sweeps over both technology mappers: exact-area rounds
 /// never hurt, delay relaxation trades monotonically, choice networks never
 /// lose the original structure, and every configuration stays functionally
-/// correct.
+/// correct.  Also pins the covering rules both mappers share
+/// (covering.hpp): the cost order, the frozen delay target and the initial
+/// fanout estimates.
 
 #include <gtest/gtest.h>
 
 #include "mcs/choice/dch.hpp"
 #include "mcs/choice/mch.hpp"
 #include "mcs/map/asic_mapper.hpp"
+#include "mcs/map/covering.hpp"
 #include "mcs/map/lut_mapper.hpp"
 #include "mcs/network/network_utils.hpp"
 #include "mcs/opt/optimize.hpp"
@@ -150,6 +153,86 @@ TEST_P(MapperPropertySweep, ChoiceMappingNeverWorseThanBaselineByMuch) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MapperPropertySweep,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+// --- the covering rules both mappers share ----------------------------------
+// These pin today's heuristics.  A change that moves QoR on purpose (the
+// cut ranking and fanout estimates are suspects for the choice gap) edits
+// them on purpose.
+
+using covering::CostOrder;
+
+TEST(CostOrder, FeasibleCostBeatsInfeasibleWhateverItsArea) {
+  const CostOrder order{.required = 10.0f};
+  EXPECT_TRUE(order.better(10.0f, 1000.0f, 11.0f, 1.0f));
+  EXPECT_FALSE(order.better(11.0f, 1.0f, 10.0f, 1000.0f));
+  // Between feasible costs, area comes first.
+  EXPECT_TRUE(order.better(9.0f, 1.0f, 2.0f, 2.0f));
+}
+
+TEST(CostOrder, SmallerDelayWinsAmongInfeasibleCosts) {
+  const CostOrder order{.required = 10.0f};
+  EXPECT_TRUE(order.better(11.0f, 1000.0f, 12.0f, 1.0f));
+  EXPECT_TRUE(order.better(11.0f, 1.0f, 11.0f, 2.0f));  // then area
+}
+
+TEST(CostOrder, DelayFirstIgnoresTheRequiredTime) {
+  const CostOrder order{.delay_first = true, .required = 10.0f};
+  EXPECT_TRUE(order.better(9.0f, 1000.0f, 10.0f, 1.0f));  // both feasible
+  EXPECT_TRUE(order.better(12.0f, 1.0f, 13.0f, 1.0f));    // neither
+  EXPECT_FALSE(order.better(11.0f, 1.0f, 9.0f, 1000.0f));
+  EXPECT_TRUE(order.better(11.0f, 1.0f, 11.0f, 2.0f));  // then area
+}
+
+TEST(CostOrder, TiesFallToFewerLeavesAndTrivialCutsRankLast) {
+  Cut two = Cut::trivial(7);
+  two.leaves[1] = 8;
+  two.size = 2;
+  Cut three = two;
+  three.leaves[2] = 9;
+  three.size = 3;
+  for (Cut* c : {&two, &three}) {
+    c->delay = 3.0f;
+    c->area_flow = 4.0f;
+  }
+  Cut trivial = Cut::trivial(5);  // cheaper on every cost
+  const CostOrder order{};
+  EXPECT_TRUE(order(two, three));
+  EXPECT_FALSE(order(three, two));
+  EXPECT_TRUE(order(three, trivial));
+  EXPECT_FALSE(order(trivial, three));
+  EXPECT_FALSE(order(two, two));
+}
+
+TEST(DelayTarget, FreezesAtTheFirstCallsRelaxedDepth) {
+  covering::DelayTarget target(0.5);
+  EXPECT_LT(target.frozen(), 0.0f);
+  EXPECT_FLOAT_EQ(target(10.0f), 15.0f);
+  EXPECT_FLOAT_EQ(target(20.0f), 15.0f);  // recovery cannot ratchet it up
+  EXPECT_FLOAT_EQ(target(8.0f), 12.0f);   // a shallower pass keeps its own
+  EXPECT_FLOAT_EQ(target.frozen(), 15.0f);
+}
+
+TEST(FanoutEstimates, ANodeReachedOnlyThroughAChoiceClassStartsAtOne) {
+  Network net;
+  const Signal a = net.create_pi(), b = net.create_pi();
+  const Signal c = net.create_pi(), d = net.create_pi();
+  const Signal ab = net.create_and(a, b);
+  const Signal root = net.create_and(ab, net.create_and(c, d));
+  net.create_po(root);
+  net.create_po(ab);
+  // (a & c & b) & (a & c & d): a candidate for root whose shared node a & c
+  // has two fanouts, both inside the candidate cone.
+  const Signal ac = net.create_and(a, c);
+  const Signal cand =
+      net.create_and(net.create_and(ac, b), net.create_and(ac, d));
+  net.add_choice(root.node(), cand.node(), false);
+
+  const std::vector<float> est = covering::initial_fanout_estimates(net);
+  EXPECT_FLOAT_EQ(est[ac.node()], 1.0f);
+  EXPECT_FLOAT_EQ(est[cand.node()], 1.0f);
+  EXPECT_FLOAT_EQ(est[ab.node()], 2.0f);  // root and a PO
+  EXPECT_FLOAT_EQ(est[a.node()], 1.0f);   // ab only, not a & c
+}
 
 }  // namespace
 }  // namespace mcs

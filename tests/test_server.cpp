@@ -1121,6 +1121,130 @@ TEST(JobServer, ResumesReplayedJobFromItsStageCheckpoint) {
   ::rmdir(ckpt_dir.c_str());
 }
 
+/// Leaves the on-disk state of a worker killed right after stage \p index
+/// of job \p id: the journal's accepted, started and stage entries up to
+/// \p index, a "stage_ckpt" entry at \p index, and the network after that
+/// stage plus the reference network in the checkpoint directory.
+void fabricate_crash(const std::string& path, const std::string& id,
+                     const std::string& spec, std::size_t index) {
+  const flow::Flow flow = flow::Flow::parse(spec);
+  flow::FlowContext ctx;
+  for (std::size_t i = 0; i <= index; ++i) {
+    const flow::Flow::Stage& stage = flow.stages()[i];
+    ASSERT_TRUE(flow::run_stage(ctx, *stage.pass, stage.args).ok);
+  }
+  const std::string dir = path + ".ckpt/";
+  ::mkdir(dir.c_str(), 0755);
+  ckpt::write_snapshot_file(
+      ctx.net, dir + id + ".s" + std::to_string(index) + ".snap");
+  ckpt::write_snapshot_file(*ctx.original, dir + id + ".orig.snap");
+  Journal j;
+  j.open(path);
+  JournalEntry e;
+  e.kind = JournalEntry::Kind::kAccepted;
+  e.job = id;
+  e.payload = submit(id, spec);
+  j.append(e);
+  e = {};
+  e.kind = JournalEntry::Kind::kStarted;
+  e.job = id;
+  j.append(e);
+  for (std::size_t i = 0; i <= index; ++i) {
+    e.kind = JournalEntry::Kind::kStage;
+    e.index = i;
+    j.append(e);
+  }
+  e.kind = JournalEntry::Kind::kStageCkpt;
+  j.append(e);
+}
+
+/// Recovers the journal at \p path and collects the resumed job \p id's
+/// stage reports and done line.  A one-shot delay holds the job in its
+/// first resumed stage until the client has attached.
+std::vector<Json> resume_and_collect(const std::string& path,
+                                     const std::string& id, Json* done) {
+  fail::configure("flow.stage=delay,ms=300,count=1");
+  JobServer server(ServerOptions{.job_slots = 1, .journal_path = path});
+  TestClient client(server);
+  client.send(attach_line(id));
+  EXPECT_EQ(client.wait_outcome(id), "ok");
+  fail::disable();
+  EXPECT_EQ(server.counters().resumed, 1u);
+  *done = last_line_of_type(client.lines(), "done");
+  return client.stages_of(id);
+}
+
+TEST(JobServer, ResumeAfterAMappingStageMapsAgain) {
+  const std::string path =
+      ::testing::TempDir() + "mcs_journal_resume_map.ndjson";
+  std::remove(path.c_str());
+  const std::string spec = "gen:adder,bits=8; compress2rs; map_lut:k=4; cec";
+  flow::FlowContext uninterrupted;
+  const flow::FlowReport want = flow::run_flow(spec, uninterrupted);
+  ASSERT_TRUE(want.ok) << want.error;
+  ASSERT_EQ(want.stages[3].luts, 15u);
+
+  // Killed after map_lut, with a checkpoint journaled for it: the snapshot
+  // holds only the network, so the job resumes after compress2rs and maps
+  // again.
+  fabricate_crash(path, "mapjob", spec, 2);
+  Json done = Json::null();
+  const std::vector<Json> stages = resume_and_collect(path, "mapjob", &done);
+  ASSERT_TRUE(done.is_object());
+  EXPECT_EQ(done.find("resumed_stage")->as_int(), 2);
+  EXPECT_EQ(done.find("luts")->as_int(), 15);
+  ASSERT_FALSE(stages.empty());
+  const Json* cec = stages.back().find("stage");
+  EXPECT_EQ(cec->find("pass")->as_string(), "cec");
+  EXPECT_EQ(cec->find("luts")->as_int(), 15);
+  EXPECT_EQ(cec->find("note")->as_string(), "equivalent (LUT network)");
+
+  std::remove(path.c_str());
+  ::rmdir((path + ".ckpt").c_str());
+}
+
+TEST(JobServer, ResumeReappliesTheSettingsBeforeIt) {
+  const std::string path =
+      ::testing::TempDir() + "mcs_journal_resume_set.ndjson";
+  std::remove(path.c_str());
+  fabricate_crash(path, "setjob", "threads:n=3; gen:adder,bits=8; threads",
+                  1);
+  Json done = Json::null();
+  const std::vector<Json> stages = resume_and_collect(path, "setjob", &done);
+  ASSERT_TRUE(done.is_object());
+  EXPECT_EQ(done.find("resumed_stage")->as_int(), 2);
+  // Only the resumed stage streams: the re-applied setting makes no report.
+  ASSERT_EQ(stages.size(), 1u);
+  const std::string note = stages[0].find("stage")->find("note")->as_string();
+  EXPECT_NE(note.find("requested 3"), std::string::npos) << note;
+
+  std::remove(path.c_str());
+  ::rmdir((path + ".ckpt").c_str());
+}
+
+TEST(JobServer, CheckpointsOnlyAfterStagesThatChangeTheNetwork) {
+  const std::string path =
+      ::testing::TempDir() + "mcs_journal_ckpt_kinds.ndjson";
+  std::remove(path.c_str());
+  {
+    JobServer server(ServerOptions{.job_slots = 1, .journal_path = path});
+    TestClient client(server);
+    client.send(submit("ck1", "gen:adder,bits=8; map_lut:k=4; cec"));
+    EXPECT_EQ(client.wait_outcome("ck1"), "ok");
+  }
+  std::size_t checkpoints = 0;
+  for (const JournalEntry& e : Journal::load(path)) {
+    if (e.kind == JournalEntry::Kind::kStageCkpt && e.job == "ck1") {
+      ++checkpoints;
+      EXPECT_EQ(e.index, 0u);  // after gen
+    }
+  }
+  EXPECT_EQ(checkpoints, 1u);
+
+  std::remove(path.c_str());
+  ::rmdir((path + ".ckpt").c_str());
+}
+
 TEST(JobServer, CorruptCheckpointDegradesToReplayFromScratch) {
   const std::string path = ::testing::TempDir() + "mcs_journal_badck.ndjson";
   const std::string ckpt_dir = path + ".ckpt";

@@ -24,8 +24,9 @@
 /// jobs from the durable journal, so a `kill -9` mid-job still ends in a
 /// "done" line for every accepted job (marked "retried": true).  Per-stage
 /// network snapshots (on by default with a journal; see --ckpt-dir) let a
-/// replayed job *resume* at its last completed stage instead of re-running
-/// the whole flow -- its done line then carries "resumed_stage": N.
+/// replayed job *resume* after its last completed stage that changed the
+/// network instead of re-running the whole flow -- its done line then
+/// carries "resumed_stage": N.
 
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -139,8 +140,8 @@ void usage() {
       "  --done-cache N      done lines retained for late attach, also the\n"
       "                      journal compaction budget (default 256)\n"
       "  --ckpt-dir PATH     per-stage network snapshot directory (default\n"
-      "                      JOURNAL.ckpt); restarts resume jobs at their\n"
-      "                      last checkpointed stage\n"
+      "                      JOURNAL.ckpt); restarts resume jobs after\n"
+      "                      their last checkpointed stage\n"
       "  --no-stage-ckpt     disable per-stage snapshots (replay restarts\n"
       "                      every recovered job from stage 0)\n"
       "  --supervise         watchdog parent: forks the worker, restarts it on\n"
